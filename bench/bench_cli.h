@@ -78,13 +78,26 @@ inline const char* flag_value(int argc, char** argv, std::string_view name) {
 }
 
 // Parse a non-negative integer; nullopt on anything strtoull would mangle
-// (junk, empty, or a leading '-', which strtoull silently wraps).
+// (junk, empty, or a '-' — even after leading blanks — which strtoull
+// silently wraps).
 inline std::optional<std::size_t> parse_size(const char* raw) {
-  if (raw == nullptr || *raw == '\0' || *raw == '-') return std::nullopt;
+  if (raw == nullptr || *raw < '0' || *raw > '9') return std::nullopt;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(raw, &end, 10);
   if (end == raw || *end != '\0') return std::nullopt;
   return static_cast<std::size_t>(value);
+}
+
+// Parse a number in [0, 1] (a rate or probability); nullopt on junk,
+// trailing characters, NaN or anything outside the interval.
+inline std::optional<double> parse_fraction(const char* raw) {
+  if (raw == nullptr || *raw == '\0') return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(raw, &end);
+  if (end == raw || *end != '\0' || !(value >= 0.0 && value <= 1.0)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 // Value clamped into [min, max]; unparsable input falls back (with a note

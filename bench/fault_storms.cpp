@@ -141,15 +141,11 @@ int main(int argc, char** argv) {
       base.storm_every_batches = 1;  // batches are big; storm every drain
       base.evict_policy = leg.evict;
       base.delivery_window = leg.delivery_window;
-      base.publishers = publishers;
-
-      MonitoringOptions serial = base;
-      serial.use_ring = false;
       const MonitoringReport anchor =
-          run_continuous_monitoring(serial, *executor);
+          run_continuous_monitoring(base, *executor);
 
       MonitoringOptions ring = base;
-      ring.use_ring = true;
+      ring.publishers = publishers;
       const MonitoringReport report =
           run_continuous_monitoring(ring, *executor);
 
@@ -172,6 +168,15 @@ int main(int argc, char** argv) {
         failed = true;
       }
 
+      const telemetry::MetricsSnapshot& snap = report.telemetry;
+      const double p50_ms = report.wall_latency().quantile(0.50);
+      const double p99_ms = report.wall_latency().quantile(0.99);
+      const std::uint64_t episodes = snap.counter("faults.storm.episodes");
+      const std::uint64_t misrenders = snap.counter("faults.gray.misrenders");
+      std::uint64_t evictions = 0;
+      for (const auto& c : snap.counters_with_prefix("tcam.evictions.")) {
+        evictions += c.value;
+      }
       recorder.add_row(
           {{"leg", static_cast<double>(leg_idx)},
            {"seed", static_cast<double>(seed)},
@@ -179,31 +184,33 @@ int main(int argc, char** argv) {
            {"events", static_cast<double>(report.events)},
            {"batches", static_cast<double>(report.batches)},
            {"churn_ops", static_cast<double>(report.churn_ops)},
-           {"events_per_sec", report.events_per_sec},
-           {"stream_p50_ms", report.p50_latency_ms},
-           {"stream_p99_ms", report.p99_latency_ms},
+           {"events_per_sec", report.events_per_sec()},
+           {"stream_p50_ms", p50_ms},
+           {"stream_p99_ms", p99_ms},
            {"inconsistent_batches",
             static_cast<double>(report.inconsistent_batches)},
            {"final_inconsistent",
-            static_cast<double>(report.final_inconsistent)},
-           {"final_missing", static_cast<double>(report.final_missing)},
+            static_cast<double>(report.final_check.inconsistent.size())},
+           {"final_missing",
+            static_cast<double>(report.final_check.missing_rules.size())},
            {"hypothesis_size", static_cast<double>(report.hypothesis_size)},
-           {"storm_episodes", static_cast<double>(report.storm_episodes)},
-           {"gray_misrenders", static_cast<double>(report.gray_misrenders)},
-           {"gray_drops", static_cast<double>(report.gray_drops)},
-           {"tcam_evictions", static_cast<double>(report.tcam_evictions)},
+           {"storm_episodes", static_cast<double>(episodes)},
+           {"gray_misrenders", static_cast<double>(misrenders)},
+           {"gray_drops",
+            static_cast<double>(snap.counter("faults.gray.drops"))},
+           {"tcam_evictions", static_cast<double>(evictions)},
            {"digest_ok", digest_ok ? 1.0 : 0.0},
            {"journal_ok", journal_ok ? 1.0 : 0.0}});
 
       std::printf(
           "%-22s seed %3llu: %7.0f events/s, p50 %6.2f ms, p99 %6.2f ms, "
-          "episodes %zu, misrenders %llu, evictions %llu, hypothesis %zu "
+          "episodes %llu, misrenders %llu, evictions %llu, hypothesis %zu "
           "[digest %s, journal %s]\n",
           leg.name, static_cast<unsigned long long>(seed),
-          report.events_per_sec, report.p50_latency_ms,
-          report.p99_latency_ms, report.storm_episodes,
-          static_cast<unsigned long long>(report.gray_misrenders),
-          static_cast<unsigned long long>(report.tcam_evictions),
+          report.events_per_sec(), p50_ms, p99_ms,
+          static_cast<unsigned long long>(episodes),
+          static_cast<unsigned long long>(misrenders),
+          static_cast<unsigned long long>(evictions),
           report.hypothesis_size, digest_ok ? "ok" : "FAIL",
           journal_ok ? "ok" : "FAIL");
     }

@@ -104,27 +104,25 @@ int main(int argc, char** argv) {
     double leg_recall_num = 0, leg_recall_den = 0;
     for (std::size_t s = 0; s < seeds; ++s) {
       const std::uint64_t seed = seed0 + s * 101;
-      MonitoringOptions base = leg_options(leg, switches, events, seed);
-      base.publishers = publishers;
-
-      MonitoringOptions serial = base;
-      serial.use_ring = false;
+      const MonitoringOptions serial =
+          leg_options(leg, switches, events, seed);
       const MonitoringReport anchor =
           run_continuous_monitoring(serial, *executor);
 
-      MonitoringOptions ring = base;
-      ring.use_ring = true;
+      MonitoringOptions ring = serial;
+      ring.publishers = publishers;
       const MonitoringReport report =
           run_continuous_monitoring(ring, *executor);
 
       bool run_ok = true;
       for (const MonitoringReport* r : {&anchor, &report}) {
-        if (r->incident_precision != 1.0) {
+        if (r->incident_totals.precision() != 1.0) {
           std::fprintf(
               stderr,
               "error: precision gate violated (%s, seed %llu, %s): %.6f\n",
               leg.name, static_cast<unsigned long long>(seed),
-              r == &anchor ? "serial" : "ring", r->incident_precision);
+              r == &anchor ? "serial" : "ring",
+              r->incident_totals.precision());
           failed = true;
           run_ok = false;
         }
@@ -156,15 +154,16 @@ int main(int argc, char** argv) {
         }
       }
 
-      leg_incidents += report.incidents;
-      leg_matched += report.incident_first_cause_correct;
-      leg_attributed += report.incidents - report.incidents_unattributed;
-      leg_truth += report.incidents;
+      const stream::IncidentBuilder::Totals& totals = report.incident_totals;
+      leg_incidents += totals.incidents;
+      leg_matched += totals.first_cause_correct;
+      leg_attributed += totals.incidents - totals.unattributed_incidents;
+      leg_truth += totals.incidents;
       // Aggregate recall as a weighted mean over runs with truth mass.
-      if (report.incidents > 0) {
+      if (totals.incidents > 0) {
         leg_recall_num +=
-            report.incident_recall * static_cast<double>(report.incidents);
-        leg_recall_den += static_cast<double>(report.incidents);
+            totals.recall() * static_cast<double>(totals.incidents);
+        leg_recall_den += static_cast<double>(totals.incidents);
       }
 
       recorder.add_row(
@@ -173,14 +172,14 @@ int main(int argc, char** argv) {
            {"publishers", static_cast<double>(publishers)},
            {"events", static_cast<double>(report.events)},
            {"batches", static_cast<double>(report.batches)},
-           {"events_per_sec", report.events_per_sec},
-           {"incidents", static_cast<double>(report.incidents)},
+           {"events_per_sec", report.events_per_sec()},
+           {"incidents", static_cast<double>(totals.incidents)},
            {"unattributed",
-            static_cast<double>(report.incidents_unattributed)},
+            static_cast<double>(totals.unattributed_incidents)},
            {"first_cause_correct",
-            static_cast<double>(report.incident_first_cause_correct)},
-           {"incident_precision", report.incident_precision},
-           {"incident_recall", report.incident_recall},
+            static_cast<double>(totals.first_cause_correct)},
+           {"incident_precision", totals.precision()},
+           {"incident_recall", totals.recall()},
            {"run_ok", run_ok ? 1.0 : 0.0}});
     }
 

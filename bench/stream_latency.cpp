@@ -16,9 +16,10 @@
 // --switches N, --rate EPS (paced replay), --json PATH.
 //
 // --publishers N switches to the concurrent-ingest bench: three legs per
-// worker count over the identical publisher-count-independent fault
-// schedule — serial transport (baseline), phased MPSC-ring publish, and
-// pipelined free-run (publishers overlapped with the drain loop). Serial
+// worker count over the identical publisher-count-independent churn
+// schedule — serial transport (publishers = 0, the baseline), phased
+// MPSC-ring publish from N threads, and pipelined free-run (N publishers
+// overlapped with the drain loop). Serial
 // and ring verdict digests must be bit-identical within and across worker
 // counts; the pipelined leg is gated on its final verdict matching a
 // fresh ground-truth check and, with --min-speedup S, on end-to-end wall
@@ -72,18 +73,19 @@ void record(runtime::BenchRecorder& recorder, const MonitoringReport& r,
        {"events", c("stream.events_drained")},
        {"batches", c("stream.batches")},
        {"churn_ops", static_cast<double>(r.churn_ops)},
-       {"events_per_sec", r.events_per_sec},
+       {"events_per_sec", r.events_per_sec()},
        {"baseline_events_per_sec", baseline_eps},
        {"telemetry_overhead_pct", overhead_pct},
        {"drain_ms", r.drain_seconds * 1e3},
        {"wall_ms", r.wall_seconds * 1e3},
-       {"stream_p50_ms", r.p50_latency_ms},
-       {"stream_p99_ms", r.p99_latency_ms},
-       {"stream_max_ms", r.max_latency_ms},
-       {"stream_sim_p50_ms", r.sim_p50_latency_ms},
-       {"stream_sim_p99_ms", r.sim_p99_latency_ms},
+       {"stream_p50_ms", r.wall_latency().quantile(0.50)},
+       {"stream_p99_ms", r.wall_latency().quantile(0.99)},
+       {"stream_max_ms", r.wall_latency().max()},
+       {"stream_sim_p50_ms", r.sim_latency().quantile(0.50)},
+       {"stream_sim_p99_ms", r.sim_latency().quantile(0.99)},
        {"inconsistent_batches", static_cast<double>(r.inconsistent_batches)},
-       {"final_missing", static_cast<double>(r.final_missing)},
+       {"final_missing",
+        static_cast<double>(r.final_check.missing_rules.size())},
        {"hypothesis_size", static_cast<double>(r.hypothesis_size)},
        {"stream_bus_published", c("stream.bus_published")},
        {"stream_bus_compactions", c("stream.bus_compactions")},
@@ -123,32 +125,32 @@ int run_publishers_bench(int argc, char** argv, const MonitoringOptions& base,
     double serial_wall_eps = 0.0;
     for (int leg = 0; leg < 3; ++leg) {
       MonitoringOptions options = base;
-      options.publishers = publishers;
-      options.use_ring = leg != 0;
+      options.publishers = leg == 0 ? 0 : publishers;
       options.pipelined = leg == 2;
       const MonitoringReport report =
           run_continuous_monitoring(options, *executor);
 
       double speedup = 0.0;
       if (leg == 0) {
-        serial_wall_eps = report.publish_wall_events_per_sec;
+        serial_wall_eps = report.wall_events_per_sec();
       } else if (leg == 2 && serial_wall_eps > 0.0) {
-        speedup = report.publish_wall_events_per_sec / serial_wall_eps;
+        speedup = report.wall_events_per_sec() / serial_wall_eps;
         best_speedup = std::max(best_speedup, speedup);
       }
 
+      const telemetry::MetricsSnapshot& snap = report.telemetry;
       recorder.add_row(
           {{"publish_mode", static_cast<double>(leg)},
-           {"publishers", static_cast<double>(publishers)},
+           {"publishers", static_cast<double>(options.publishers)},
            {"threads", static_cast<double>(threads)},
            {"events", static_cast<double>(report.events)},
            {"batches", static_cast<double>(report.batches)},
            {"churn_ops", static_cast<double>(report.churn_ops)},
-           {"events_per_sec", report.events_per_sec},
-           {"events_per_sec_wall", report.publish_wall_events_per_sec},
+           {"events_per_sec", report.events_per_sec()},
+           {"events_per_sec_wall", report.wall_events_per_sec()},
            {"publish_speedup", speedup},
-           {"stream_p50_ms", report.p50_latency_ms},
-           {"stream_p99_ms", report.p99_latency_ms},
+           {"stream_p50_ms", report.wall_latency().quantile(0.50)},
+           {"stream_p99_ms", report.wall_latency().quantile(0.99)},
            {"stream_full_rebuilds",
             static_cast<double>(report.checker.full_rebuilds)},
            {"stream_epoch_rebuilds",
@@ -160,9 +162,9 @@ int run_publishers_bench(int argc, char** argv, const MonitoringOptions& base,
            {"stream_overflow_resyncs",
             static_cast<double>(report.checker.overflow_resyncs)},
            {"stream_ring_evictions",
-            static_cast<double>(report.ring_evictions)},
+            static_cast<double>(snap.counter("stream.ring_evictions"))},
            {"stream_ring_full_stalls",
-            static_cast<double>(report.ring_full_stalls)},
+            static_cast<double>(snap.counter("stream.ring_full_stalls"))},
            {"final_verdict_matches_fresh",
             report.final_verdict_matches_fresh ? 1.0 : 0.0}});
 
@@ -170,10 +172,11 @@ int run_publishers_bench(int argc, char** argv, const MonitoringOptions& base,
           "%-9s %zu publisher(s), %zu worker(s): %8.0f events/s wall "
           "(%8.0f drain), p99 %7.2f ms, evictions %llu, overflow "
           "resyncs %zu\n",
-          kLegNames[leg], publishers, threads,
-          report.publish_wall_events_per_sec, report.events_per_sec,
-          report.p99_latency_ms,
-          static_cast<unsigned long long>(report.ring_evictions),
+          kLegNames[leg], options.publishers, threads,
+          report.wall_events_per_sec(),
+          report.events_per_sec(), report.wall_latency().quantile(0.99),
+          static_cast<unsigned long long>(
+              snap.counter("stream.ring_evictions")),
           report.checker.overflow_resyncs);
 
       // Serial and phased-ring verdict streams are deterministic and must
@@ -284,13 +287,13 @@ int main(int argc, char** argv) {
           if (rep > 0) {
             MonitoringReport again =
                 run_continuous_monitoring(options, *executor);
-            if (again.events_per_sec > report.events_per_sec) {
+            if (again.events_per_sec() > report.events_per_sec()) {
               report = std::move(again);
             }
           }
           const MonitoringReport baseline =
               run_continuous_monitoring(bare, *executor);
-          baseline_eps = std::max(baseline_eps, baseline.events_per_sec);
+          baseline_eps = std::max(baseline_eps, baseline.events_per_sec());
           if (baseline.verdict_digest != report.verdict_digest) {
             std::fprintf(stderr,
                          "error: telemetry changed the verdict stream "
@@ -300,13 +303,13 @@ int main(int argc, char** argv) {
           }
         }
         if (baseline_eps > 0.0) {
-          overhead_pct = (baseline_eps - report.events_per_sec) /
+          overhead_pct = (baseline_eps - report.events_per_sec()) /
                          baseline_eps * 100.0;
         }
         std::printf("  telemetry overhead at %zu worker(s): %+.1f%% "
                     "(best-of-3: %.0f -> %.0f events/s)\n",
                     executor->workers(), overhead_pct, baseline_eps,
-                    report.events_per_sec);
+                    report.events_per_sec());
       }
       record(recorder, report, incremental, executor->workers(),
              baseline_eps, overhead_pct);
@@ -315,9 +318,9 @@ int main(int argc, char** argv) {
           "%7.1f ms), p50 %7.2f ms, p99 %7.2f ms, rebuilds "
           "%zu (epoch %zu + threshold %zu + unsafe %zu)\n",
           incremental ? "incremental" : "full", executor->workers(),
-          report.events_per_sec, report.drain_seconds * 1e3,
-          report.wall_seconds * 1e3, report.p50_latency_ms,
-          report.p99_latency_ms, report.checker.full_rebuilds,
+          report.events_per_sec(), report.drain_seconds * 1e3,
+          report.wall_seconds * 1e3, report.wall_latency().quantile(0.50),
+          report.wall_latency().quantile(0.99), report.checker.full_rebuilds,
           report.checker.epoch_rebuilds, report.checker.threshold_trips,
           report.checker.unsafe_rebuilds);
 
@@ -335,7 +338,7 @@ int main(int argc, char** argv) {
         failed = true;
       }
       if (incremental) {
-        incremental_eps = report.events_per_sec;
+        incremental_eps = report.events_per_sec();
         if (report.checker.full_rebuilds >
             report.checker.epoch_rebuilds + report.checker.threshold_trips) {
           std::fprintf(stderr,
@@ -348,7 +351,7 @@ int main(int argc, char** argv) {
           failed = true;
         }
       } else {
-        full_eps = report.events_per_sec;
+        full_eps = report.events_per_sec();
       }
     }
     if (full_eps > 0.0) {

@@ -33,13 +33,14 @@
 //   stats          run the monitor scenario and dump the full telemetry
 //                  snapshot (Prometheus text format, or JSON with --json);
 //                  includes the health/SLO engine's health.* gauges
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "bench/bench_cli.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_policy.h"
 #include "src/faults/physical_faults.h"
@@ -106,12 +107,21 @@ MonitoringReport run_monitor_scenario(std::uint64_t seed, std::size_t events,
   options.storm = faults.storm;
   options.evict_policy = faults.evict_policy;
   options.collect_incidents = !obs.incidents_path.empty();
-  options.incident_log_path = obs.incidents_path;
   options.collect_flight = !obs.flight_path.empty();
   options.flight_dump_path = obs.flight_path;
   options.collect_health = collect_health;
   runtime::SerialExecutor executor;
   return run_continuous_monitoring(options, executor);
+}
+
+// Writes one report artifact; false (with a message) when the file cannot
+// be written in full.
+bool write_artifact(const std::string& path, const std::string& text) {
+  std::ofstream out{path};
+  out << text << '\n';
+  out.close();
+  if (!out) std::cerr << "error: cannot write " << path << '\n';
+  return static_cast<bool>(out);
 }
 
 int run_monitor(std::uint64_t seed, std::size_t events, bool full,
@@ -121,21 +131,24 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
       run_monitor_scenario(seed, events, full, remediate,
                            !telemetry_path.empty(), faults, obs,
                            /*collect_health=*/obs.any());
+  const telemetry::MetricsSnapshot& snap = report.telemetry;
+  const FabricCheck& final_check = report.final_check;
   std::cout << "mode            : "
             << (full ? "full recheck" : "incremental") << '\n'
             << "events verified : " << report.events << " in "
             << report.batches << " batches (" << report.churn_ops
             << " churn ops)\n"
             << "throughput      : " << static_cast<long long>(
-                   report.events_per_sec) << " events/s (drain time only)\n"
-            << "detect latency  : p50 " << report.p50_latency_ms
-            << " ms, p99 " << report.p99_latency_ms << " ms (wall); p50 "
-            << report.sim_p50_latency_ms << " ms (sim)\n"
+                   report.events_per_sec()) << " events/s (drain time only)\n"
+            << "detect latency  : p50 " << report.wall_latency().quantile(0.50)
+            << " ms, p99 " << report.wall_latency().quantile(0.99)
+            << " ms (wall); p50 " << report.sim_latency().quantile(0.50)
+            << " ms (sim)\n"
             << "batches flagged : " << report.inconsistent_batches << '\n'
-            << "final verdict   : " << report.final_inconsistent
-            << " inconsistent switch(es), " << report.final_missing
-            << " missing rule(s), " << report.final_extra
-            << " extra rule(s)\n";
+            << "final verdict   : " << final_check.inconsistent.size()
+            << " inconsistent switch(es), "
+            << final_check.missing_rules.size() << " missing rule(s), "
+            << final_check.extra_rule_count << " extra rule(s)\n";
   if (!full) {
     std::cout << "T updates       : " << report.checker.incremental_updates
               << " incremental, " << report.checker.full_rebuilds
@@ -145,27 +158,31 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
               << " unsafe)\n";
   }
   if (faults.any()) {
-    std::cout << "fault engine    : " << report.gray_misrenders
-              << " gray misrender(s), " << report.gray_drops
-              << " gray drop(s), " << report.storm_episodes
-              << " storm episode(s), " << report.tcam_evictions
+    std::uint64_t tcam_evictions = 0;
+    for (const auto& c : snap.counters_with_prefix("tcam.evictions.")) {
+      tcam_evictions += c.value;
+    }
+    std::cout << "fault engine    : " << snap.counter("faults.gray.misrenders")
+              << " gray misrender(s), " << snap.counter("faults.gray.drops")
+              << " gray drop(s), " << snap.counter("faults.storm.episodes")
+              << " storm episode(s), " << tcam_evictions
               << " TCAM eviction(s)";
     if (!faults.evict_policy.empty()) {
       std::cout << " [" << faults.evict_policy << "]";
     }
     std::cout << '\n';
   }
-  if (report.final_inconsistent > 0) {
+  if (!final_check.inconsistent.empty()) {
     std::cout << "localization    : hypothesis of " << report.hypothesis_size
               << " suspect object(s) handed to SCOUT\n";
   }
   if (!obs.incidents_path.empty()) {
-    std::cout << "incidents       : " << report.incidents << " episode(s), "
-              << report.incident_first_cause_correct
-              << " first-cause correct (precision "
-              << report.incident_precision << ", recall "
-              << report.incident_recall << "); log written to "
-              << obs.incidents_path << '\n';
+    if (!write_artifact(obs.incidents_path, report.incident_json)) return 1;
+    const stream::IncidentBuilder::Totals& inc = report.incident_totals;
+    std::cout << "incidents       : " << inc.incidents << " episode(s), "
+              << inc.first_cause_correct << " first-cause correct (precision "
+              << inc.precision() << ", recall " << inc.recall()
+              << "); log written to " << obs.incidents_path << '\n';
   }
   if (!obs.flight_path.empty()) {
     std::cout << "flight recorder : " << report.flight_entries
@@ -173,11 +190,11 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
               << '\n';
   }
   if (obs.any()) {
-    std::cout << "health          : status " << report.health_status
+    std::cout << "health          : status " << snap.gauge("health.status")
               << " (0=ok 1=warn 2=critical)\n";
   }
-  if (remediate && report.final_missing > 0) {
-    std::cout << "remediation     : " << report.final_missing
+  if (remediate && !final_check.missing_rules.empty()) {
+    std::cout << "remediation     : " << final_check.missing_rules.size()
               << " rules reinstalled, " << report.final_still_missing
               << " still missing"
               << (report.final_still_missing > 0
@@ -186,12 +203,7 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
               << '\n';
   }
   if (!telemetry_path.empty()) {
-    std::ofstream out{telemetry_path};
-    if (!out) {
-      std::cerr << "error: cannot write " << telemetry_path << '\n';
-      return 1;
-    }
-    out << report.trace_json << '\n';
+    if (!write_artifact(telemetry_path, report.trace_json)) return 1;
     std::cout << "telemetry       : trace + metrics written to "
               << telemetry_path << " (" << report.periodic_snapshot_count
               << " periodic snapshot(s) taken)\n";
@@ -240,18 +252,25 @@ int main(int argc, char** argv) {
                arg == "--telemetry" || arg == "--gray-rate" ||
                arg == "--storm" || arg == "--evict-policy" ||
                arg == "--incidents" || arg == "--flight-recorder") {
-      // A following "--flag" is the next option, not a value; erroring
-      // loudly beats strtoull silently reading it as 0 (the misparse
-      // class bench::find_flag exists to prevent).
+      // A following "--flag" is the next option, not a value, and a
+      // malformed number is an error: both exit through usage() instead
+      // of strtoull silently reading them as 0 (or wrapping "-1" to
+      // SIZE_MAX).
       if (++i >= argc || std::strncmp(argv[i], "--", 2) == 0) {
         return usage();
       }
-      if (arg == "--seed") {
-        seed = std::strtoull(argv[i], nullptr, 10);
-      } else if (arg == "--events") {
-        events = std::strtoull(argv[i], nullptr, 10);
+      if (arg == "--seed" || arg == "--events") {
+        const std::optional<std::size_t> n = bench::parse_size(argv[i]);
+        if (!n) return usage();
+        if (arg == "--seed") {
+          seed = *n;
+        } else {
+          events = *n;
+        }
       } else if (arg == "--gray-rate") {
-        faults.gray_rate = std::strtod(argv[i], nullptr);
+        const std::optional<double> rate = bench::parse_fraction(argv[i]);
+        if (!rate) return usage();
+        faults.gray_rate = *rate;
       } else if (arg == "--storm") {
         faults.storm = argv[i];
       } else if (arg == "--evict-policy") {

@@ -732,6 +732,253 @@ std::vector<ScalePoint> run_scalability_campaign(
   return slots.take();
 }
 
+double MonitoringReport::events_per_sec() const noexcept {
+  return drain_seconds > 0.0 ? static_cast<double>(events) / drain_seconds
+                             : 0.0;
+}
+
+double MonitoringReport::wall_events_per_sec() const noexcept {
+  return wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
+                            : 0.0;
+}
+
+const LogHistogram& MonitoringReport::wall_latency() const noexcept {
+  static const LogHistogram kEmpty;
+  const LogHistogram* h = telemetry.histogram("stream.wall_latency_ms");
+  return h != nullptr ? *h : kEmpty;
+}
+
+const LogHistogram& MonitoringReport::sim_latency() const noexcept {
+  static const LogHistogram kEmpty;
+  const LogHistogram* h = telemetry.histogram("stream.sim_latency_ms");
+  return h != nullptr ? *h : kEmpty;
+}
+
+namespace {
+
+// Fault classes beyond the churn mix land on the deployed network before
+// the monitor is constructed (register_metrics reads per-agent eviction
+// policy names) and before any churn. Everything is seeded off the run
+// seed and per-agent ids, never off publisher count or timing. `ledger`
+// (null unless collect_incidents) receives the engines' ground truth.
+std::unique_ptr<StormSchedule> arm_fault_engines(
+    const MonitoringOptions& options, SimNetwork& net,
+    stream::CauseLedger* ledger) {
+  if (options.gray_rate > 0.0) {
+    GrayFaultProfile gray;
+    gray.misrender_rate = options.gray_rate;
+    gray.misrender_burst = 3;
+    gray.drop_rate = options.gray_drop_rate >= 0.0
+                         ? options.gray_drop_rate
+                         : options.gray_rate * 0.5;
+    gray.drop_burst = 2;
+    const std::uint64_t gray_seed = derive_seed(options.seed, 0x6A);
+    for (const auto& agent : net.agents()) {
+      agent->set_gray_profile(gray,
+                              derive_seed(gray_seed, agent->id().value()));
+      if (ledger != nullptr) agent->set_cause_ledger(ledger);
+    }
+  }
+  if (!options.evict_policy.empty()) {
+    const std::uint64_t evict_seed = derive_seed(options.seed, 0xE0);
+    for (const auto& agent : net.agents()) {
+      agent->tcam().set_eviction_policy(make_eviction_policy(
+          options.evict_policy,
+          derive_seed(evict_seed, agent->id().value())));
+    }
+  }
+  if (options.delivery_window > 0) {
+    ChannelDelayProfile delay;
+    delay.window = options.delivery_window;
+    delay.seed = derive_seed(options.seed, 0xDE);
+    net.controller().set_channel_delay(delay);
+  }
+  if (options.storm.empty()) return nullptr;
+  auto storm = std::make_unique<StormSchedule>(
+      net, storm_profile(options.storm), derive_seed(options.seed, 0x57));
+  storm->set_split_episodes(options.storm_split);
+  if (ledger != nullptr) storm->set_cause_ledger(ledger);
+  return storm;
+}
+
+// What the run owns around the monitor: the transport (ring + churn
+// driver) and the sinks the monitor holds bare pointers to.
+struct MonitoringRig {
+  std::unique_ptr<stream::MpscRing> ring;
+  std::unique_ptr<telemetry::MetricsRegistry> registry;
+  std::unique_ptr<telemetry::TraceRecorder> trace;
+  std::unique_ptr<stream::IncidentBuilder> incidents;
+  std::unique_ptr<telemetry::FlightRecorder> flight;
+  std::unique_ptr<telemetry::HealthEngine> health;
+  std::unique_ptr<stream::ConcurrentChurnDriver> driver;
+
+  [[nodiscard]] stream::MonitorLoop::Options monitor_options(
+      const MonitoringOptions& options) const {
+    stream::MonitorLoop::Options mopts;
+    mopts.incremental = options.incremental;
+    mopts.checker = options.checker;
+    mopts.metrics = registry.get();
+    mopts.trace = trace.get();
+    mopts.snapshot_every_batches = options.snapshot_every_batches;
+    mopts.incidents = incidents.get();
+    mopts.flight = flight.get();
+    mopts.flight_dump_path = options.flight_dump_path;
+    mopts.health = health.get();
+    mopts.churn_top_k = options.churn_top_k;
+    return mopts;
+  }
+};
+
+// The ring is sized over the SwitchId space and attached before the
+// monitor is constructed, so the monitor's ring metrics register.
+// Pipelined runs use backpressure (nothing evicted mid-run — markers would
+// race the free-running publishers); phased runs use eviction-to-resync.
+MonitoringRig make_rig(const MonitoringOptions& options, SimNetwork& net,
+                       stream::EventBus& bus, runtime::Executor& executor,
+                       stream::CauseLedger* ledger) {
+  MonitoringRig rig;
+  if (options.publishers > 0) {
+    std::size_t sw_bound = 0;
+    for (const auto& agent : net.agents()) {
+      sw_bound = std::max<std::size_t>(sw_bound, agent->id().value() + 1);
+    }
+    stream::MpscRing::Options ropts;
+    if (options.ring_capacity > 0) {
+      ropts.shard_capacity = options.ring_capacity;
+    }
+    ropts.on_full = options.pipelined
+                        ? stream::MpscRing::FullPolicy::kBackpressure
+                        : stream::MpscRing::FullPolicy::kEvictToResync;
+    rig.ring = std::make_unique<stream::MpscRing>(options.publishers,
+                                                  sw_bound, ropts);
+    bus.attach_ring(rig.ring.get());
+  }
+  if (options.collect_telemetry) {
+    rig.registry =
+        std::make_unique<telemetry::MetricsRegistry>(executor.workers());
+    if (options.collect_trace) {
+      rig.trace = std::make_unique<telemetry::TraceRecorder>(
+          executor.workers() + 1);
+    }
+  }
+  if (ledger != nullptr) {
+    rig.incidents =
+        std::make_unique<stream::IncidentBuilder>(ledger, rig.registry.get());
+  }
+  if (options.collect_flight) {
+    rig.flight = std::make_unique<telemetry::FlightRecorder>(
+        telemetry::FlightRecorder::Options{});
+  }
+  if (options.collect_health) {
+    rig.health = std::make_unique<telemetry::HealthEngine>(
+        telemetry::HealthEngine::Options{}, rig.registry.get());
+  }
+  rig.driver = std::make_unique<stream::ConcurrentChurnDriver>(
+      net, bus, derive_seed(options.seed, 0xCE),
+      stream::ConcurrentChurnDriver::Options{options.publishers,
+                                             options.mix});
+  if (ledger != nullptr) rig.driver->set_cause_ledger(ledger);
+  return rig;
+}
+
+// Alternates churn with drains until options.events are verified, filling
+// the report's loop counts, digest, timings and final verdict.
+void run_monitoring_loop(const MonitoringOptions& options, SimNetwork& net,
+                         const stream::EventBus& bus,
+                         stream::MonitorLoop& monitor,
+                         stream::ConcurrentChurnDriver& driver,
+                         StormSchedule* storm,
+                         telemetry::MetricsRegistry* registry,
+                         MonitoringReport& report) {
+  const ScoutSystem verify_system{
+      ScoutSystem::Options{CheckMode::kExactBdd, ScoutLocalizer::Options{}}};
+  std::uint64_t digest = derive_seed(options.seed, 0xD1);
+  const auto run_start = Clock::now();
+  const auto fold_verdict = [&](stream::MonitorVerdict& verdict) {
+    report.events += verdict.events;
+    report.drain_seconds += verdict.drain_ms / 1e3;
+    ++report.batches;
+    if (!verdict.check.inconsistent.empty()) ++report.inconsistent_batches;
+    digest = fabric_check_digest(digest, verdict.check);
+    report.final_check = std::move(verdict.check);
+  };
+  const auto run_storm_episode = [&] {
+    // A split-mode call may only heal the last episode, so the counter
+    // follows the schedule's own episode count, not the calls.
+    const std::size_t before = storm->stats().episodes;
+    storm->run_episode();
+    if (registry != nullptr) {
+      registry->add_counter("faults.storm.episodes",
+                            storm->stats().episodes - before);
+    }
+  };
+  if (options.pipelined) {
+    // Free-run in segments: the publishers burn a segment's op budget
+    // while the monitor drains concurrently (batches self-size to the
+    // backlog), then — at publisher quiescence — a serial control tail
+    // repairs/resyncs switches so the fault schedule doesn't drain the
+    // TCAMs dry (its events ride the next segment's drains). Storm
+    // episodes fire there too. Batch boundaries are timing-dependent, so
+    // the correctness gate is the final quiesced verdict against ground
+    // truth (below), not the batch digest stream.
+    const std::size_t segment_ops =
+        std::max<std::size_t>(2500, options.batch_ops);
+    while (report.events < options.events) {
+      const stream::EventBus::Cursor before = bus.cursor();
+      driver.start(segment_ops);
+      for (;;) {
+        stream::MonitorVerdict verdict = monitor.drain();
+        if (verdict.events == 0) {
+          if (!driver.producing()) break;
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          continue;
+        }
+        fold_verdict(verdict);
+      }
+      (void)driver.pump_control(segment_ops);
+      if (storm != nullptr) run_storm_episode();
+      if (bus.cursor() == before) break;  // degenerate: nothing to churn
+    }
+    driver.stop();
+    // Tail drain after quiescence: the last published events, plus shadow
+    // resyncs for anything evicted by the stop()-time close.
+    stream::MonitorVerdict tail = monitor.drain();
+    fold_verdict(tail);
+    // Wall stops at quiescence: the ground-truth cross-check below is the
+    // gate's referee, not part of the monitored pipeline.
+    report.wall_seconds = seconds_since(run_start);
+    report.final_verdict_matches_fresh = fabric_check_identical(
+        report.final_check, verify_system.check_all(net));
+  } else {
+    while (report.events < options.events) {
+      if (driver.pump(options.batch_ops) == 0) break;  // degenerate network
+      stream::MonitorVerdict verdict = monitor.drain();
+      fold_verdict(verdict);
+      if (options.verify_batches &&
+          !fabric_check_identical(report.final_check,
+                                  verify_system.check_all(net))) {
+        ++report.verify_mismatches;
+      }
+      if (storm != nullptr && options.storm_every_batches > 0 &&
+          report.batches % options.storm_every_batches == 0) {
+        run_storm_episode();
+      }
+      if (options.target_events_per_sec > 0.0) {
+        const double due = static_cast<double>(report.events) /
+                           options.target_events_per_sec;
+        const double ahead = due - seconds_since(run_start);
+        if (ahead > 0.0) {
+          std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
+        }
+      }
+    }
+    report.wall_seconds = seconds_since(run_start);
+  }
+  report.verdict_digest = digest;
+}
+
+}  // namespace
+
 MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
                                            runtime::Executor& executor) {
   // The network build is seeded independently of the churn so tuning the
@@ -749,316 +996,59 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
   // (counter bumps, no RNG draws); only *recording* is gated on the
   // ledger, so attaching it never changes the op stream or the digests.
   stream::CauseLedger cause_ledger;
-  const bool incidents_on = options.collect_incidents;
-
-  // Fault classes beyond the churn mix land on the deployed network before
-  // the monitor is constructed (register_metrics reads per-agent eviction
-  // policy names) and before any churn. Everything is seeded off the run
-  // seed and per-agent ids, never off publisher count or timing.
-  if (options.gray_rate > 0.0) {
-    GrayFaultProfile gray;
-    gray.misrender_rate = options.gray_rate;
-    gray.misrender_burst = 3;
-    gray.drop_rate = options.gray_drop_rate >= 0.0
-                         ? options.gray_drop_rate
-                         : options.gray_rate * 0.5;
-    gray.drop_burst = 2;
-    const std::uint64_t gray_seed = derive_seed(options.seed, 0x6A);
-    for (const auto& agent : net.agents()) {
-      agent->set_gray_profile(gray,
-                              derive_seed(gray_seed, agent->id().value()));
-      if (incidents_on) agent->set_cause_ledger(&cause_ledger);
-    }
-  }
-  if (!options.evict_policy.empty()) {
-    const std::uint64_t evict_seed = derive_seed(options.seed, 0xE0);
-    for (const auto& agent : net.agents()) {
-      agent->tcam().set_eviction_policy(make_eviction_policy(
-          options.evict_policy,
-          derive_seed(evict_seed, agent->id().value())));
-    }
-  }
-  if (options.delivery_window > 0) {
-    ChannelDelayProfile delay;
-    delay.window = options.delivery_window;
-    delay.seed = derive_seed(options.seed, 0xDE);
-    net.controller().set_channel_delay(delay);
-  }
-  std::unique_ptr<StormSchedule> storm;
-  if (!options.storm.empty()) {
-    storm = std::make_unique<StormSchedule>(
-        net, storm_profile(options.storm), derive_seed(options.seed, 0x57));
-    storm->set_split_episodes(options.storm_split);
-    if (incidents_on) storm->set_cause_ledger(&cause_ledger);
-  }
-
-  // Concurrent-publish transport: the ring is sized over the SwitchId
-  // space and attached before the monitor is constructed, so the
-  // monitor's ring metrics register. Pipelined runs use backpressure
-  // (nothing evicted mid-run — markers would race the free-running
-  // publishers); phased runs use eviction-to-resync.
-  const bool concurrent = options.publishers > 0;
-  std::unique_ptr<stream::MpscRing> ring;
-  if (concurrent && (options.use_ring || options.pipelined)) {
-    std::size_t sw_bound = 0;
-    for (const auto& agent : net.agents()) {
-      sw_bound = std::max<std::size_t>(sw_bound, agent->id().value() + 1);
-    }
-    stream::MpscRing::Options ropts;
-    if (options.ring_capacity > 0) {
-      ropts.shard_capacity = options.ring_capacity;
-    }
-    ropts.on_full = options.pipelined
-                        ? stream::MpscRing::FullPolicy::kBackpressure
-                        : stream::MpscRing::FullPolicy::kEvictToResync;
-    ring = std::make_unique<stream::MpscRing>(options.publishers, sw_bound,
-                                              ropts);
-    bus.attach_ring(ring.get());
-  }
-
-  // Telemetry sinks owned by the run; the monitor holds bare pointers.
-  std::unique_ptr<telemetry::MetricsRegistry> registry;
-  std::unique_ptr<telemetry::TraceRecorder> trace;
-  if (options.collect_telemetry) {
-    registry = std::make_unique<telemetry::MetricsRegistry>(
-        executor.workers());
-    if (options.collect_trace) {
-      trace = std::make_unique<telemetry::TraceRecorder>(
-          executor.workers() + 1);
-    }
-  }
-
-  // Observability layers owned by the run, like the registry/trace above.
-  std::unique_ptr<stream::IncidentBuilder> incidents;
-  if (incidents_on) {
-    incidents = std::make_unique<stream::IncidentBuilder>(&cause_ledger,
-                                                          registry.get());
-  }
-  std::unique_ptr<telemetry::FlightRecorder> flight;
-  if (options.collect_flight) {
-    flight = std::make_unique<telemetry::FlightRecorder>(
-        telemetry::FlightRecorder::Options{});
-  }
-  std::unique_ptr<telemetry::HealthEngine> health;
-  if (options.collect_health) {
-    health = std::make_unique<telemetry::HealthEngine>(
-        telemetry::HealthEngine::Options{}, registry.get());
-  }
-
-  stream::MonitorLoop::Options mopts;
-  mopts.incremental = options.incremental;
-  mopts.checker = options.checker;
-  mopts.metrics = registry.get();
-  mopts.trace = trace.get();
-  mopts.snapshot_every_batches = options.snapshot_every_batches;
-  mopts.incidents = incidents.get();
-  mopts.flight = flight.get();
-  mopts.flight_dump_path = options.flight_dump_path;
-  mopts.health = health.get();
-  mopts.churn_top_k = options.churn_top_k;
-  stream::MonitorLoop monitor{net, bus, executor, mopts};
+  stream::CauseLedger* const ledger =
+      options.collect_incidents ? &cause_ledger : nullptr;
+  const std::unique_ptr<StormSchedule> storm =
+      arm_fault_engines(options, net, ledger);
+  const MonitoringRig rig = make_rig(options, net, bus, executor, ledger);
+  stream::MonitorLoop monitor{net, bus, executor,
+                              rig.monitor_options(options)};
   monitor.prime();
 
-  // Churn source: the legacy serial generator, or the multi-threaded
-  // driver (which degrades to executing the identical schedule serially
-  // when no ring is attached — the differential baseline leg).
-  std::unique_ptr<stream::ChurnGenerator> churn;
-  std::unique_ptr<stream::ConcurrentChurnDriver> driver;
-  if (concurrent) {
-    stream::ConcurrentChurnDriver::Options dopts;
-    dopts.publishers = options.publishers;
-    dopts.mix = options.mix;
-    dopts.use_ring = ring != nullptr;
-    driver = std::make_unique<stream::ConcurrentChurnDriver>(
-        net, bus, derive_seed(options.seed, 0xCE), dopts);
-    if (incidents_on) driver->set_cause_ledger(&cause_ledger);
-  } else {
-    churn = std::make_unique<stream::ChurnGenerator>(
-        net, bus, derive_seed(options.seed, 0xCE), options.mix);
-    if (incidents_on) churn->set_cause_ledger(&cause_ledger);
-  }
-  const ScoutSystem verify_system{
-      ScoutSystem::Options{CheckMode::kExactBdd, ScoutLocalizer::Options{}}};
-
   MonitoringReport report;
-  std::uint64_t digest = derive_seed(options.seed, 0xD1);
-  FabricCheck last_check;
-  const auto run_start = Clock::now();
-  const auto fold_verdict = [&](stream::MonitorVerdict& verdict) {
-    report.events += verdict.events;
-    report.drain_seconds += verdict.drain_ms / 1e3;
-    ++report.batches;
-    if (!verdict.check.inconsistent.empty()) ++report.inconsistent_batches;
-    digest = fabric_check_digest(digest, verdict.check);
-    last_check = std::move(verdict.check);
-  };
-  if (options.pipelined && driver != nullptr) {
-    // Free-run in segments: the publishers burn a segment's op budget
-    // while the monitor drains concurrently (batches self-size to the
-    // backlog), then — at publisher quiescence — a serial control tail
-    // repairs/resyncs switches so the fault schedule doesn't drain the
-    // TCAMs dry (its events ride the next segment's drains). Batch
-    // boundaries are timing-dependent here, so the correctness gate is
-    // the final quiesced verdict against ground truth (below), not the
-    // batch digest stream.
-    const std::size_t segment_ops =
-        std::max<std::size_t>(2500, options.batch_ops);
-    while (report.events < options.events) {
-      const stream::EventBus::Cursor before = bus.cursor();
-      driver->start(segment_ops);
-      for (;;) {
-        stream::MonitorVerdict verdict = monitor.drain();
-        if (verdict.events == 0) {
-          if (!driver->producing()) break;
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-          continue;
-        }
-        fold_verdict(verdict);
-      }
-      (void)driver->pump_control(segment_ops);
-      if (storm != nullptr) {
-        // Episodes fire in the serial control tail (publishers quiesced);
-        // their events ride the next segment's drains, or the tail drain
-        // below for the last one.
-        storm->run_episode();
-        if (registry != nullptr) {
-          registry->add_counter("faults.storm.episodes", 1);
-        }
-      }
-      if (bus.cursor() == before) break;  // degenerate: nothing to churn
-    }
-    driver->stop();
-    // Tail drain after quiescence: the last published events, plus shadow
-    // resyncs for anything evicted by the stop()-time close.
-    stream::MonitorVerdict tail = monitor.drain();
-    fold_verdict(tail);
-    // Wall stops at quiescence: the ground-truth cross-check below is the
-    // gate's referee, not part of the monitored pipeline.
-    report.wall_seconds = seconds_since(run_start);
-    report.final_verdict_matches_fresh =
-        fabric_check_identical(last_check, verify_system.check_all(net));
-  } else {
-    while (report.events < options.events) {
-      const std::size_t produced = driver != nullptr
-                                       ? driver->pump(options.batch_ops)
-                                       : churn->pump(options.batch_ops);
-      if (produced == 0) break;  // degenerate network: nothing left to churn
-      stream::MonitorVerdict verdict = monitor.drain();
-      fold_verdict(verdict);
-      if (options.verify_batches) {
-        const FabricCheck fresh = verify_system.check_all(net);
-        if (!fabric_check_identical(last_check, fresh)) {
-          ++report.verify_mismatches;
-        }
-      }
-      if (storm != nullptr && options.storm_every_batches > 0 &&
-          report.batches % options.storm_every_batches == 0) {
-        storm->run_episode();
-        if (registry != nullptr) {
-          registry->add_counter("faults.storm.episodes", 1);
-        }
-      }
-      if (options.target_events_per_sec > 0.0) {
-        const double due = static_cast<double>(report.events) /
-                           options.target_events_per_sec;
-        const double ahead = due - seconds_since(run_start);
-        if (ahead > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
-        }
-      }
-    }
-    report.wall_seconds = seconds_since(run_start);
-  }
-  report.churn_ops =
-      driver != nullptr ? driver->ops_applied() : churn->ops_applied();
-  report.verdict_digest = digest;
-  report.publish_wall_events_per_sec =
-      report.wall_seconds > 0.0
-          ? static_cast<double>(report.events) / report.wall_seconds
-          : 0.0;
-  if (ring != nullptr) {
-    const stream::MpscRing::Stats ring_stats = ring->stats();
-    report.ring_evictions = ring_stats.evictions;
-    report.ring_full_stalls = ring_stats.full_stalls;
-  }
-  report.events_per_sec =
-      report.drain_seconds > 0.0
-          ? static_cast<double>(report.events) / report.drain_seconds
-          : 0.0;
+  run_monitoring_loop(options, net, bus, monitor, *rig.driver, storm.get(),
+                      rig.registry.get(), report);
+  report.churn_ops = rig.driver->ops_applied();
   report.checker = monitor.checker_stats();
-  if (storm != nullptr) report.storm_episodes = storm->stats().episodes;
-  for (const auto& agent : net.agents()) {
-    report.gray_misrenders += agent->gray_misrenders();
-    report.gray_drops += agent->gray_drops();
-    report.tcam_evictions += agent->tcam().evictions();
-  }
 
-  if (incidents != nullptr) {
-    incidents->finalize(report.batches, net.clock().now());
-    const stream::IncidentBuilder::Totals& totals = incidents->totals();
-    report.incidents = totals.incidents;
-    report.incidents_unattributed = totals.unattributed_incidents;
-    report.incident_first_cause_correct = totals.first_cause_correct;
-    report.incident_precision = totals.precision();
-    report.incident_recall = totals.recall();
-    report.incident_json = incidents->to_json();
-    if (!options.incident_log_path.empty()) {
-      if (!incidents->write_file(options.incident_log_path)) {
-        SCOUT_WARN("stream", "failed to write incident log to "
-                                 << options.incident_log_path);
-      }
-    }
+  if (rig.incidents != nullptr) {
+    rig.incidents->finalize(report.batches, net.clock().now());
+    report.incident_totals = rig.incidents->totals();
+    report.incident_json = rig.incidents->to_json();
   }
-  if (health != nullptr) {
-    report.health_status = static_cast<int>(health->overall());
+  if (rig.health != nullptr) {
     JsonWriter hw;
-    health->write_json(hw);
+    rig.health->write_json(hw);
     report.health_json = hw.str();
   }
-  if (flight != nullptr) {
-    report.flight_entries = flight->total_recorded();
+  if (rig.flight != nullptr) {
+    report.flight_entries = rig.flight->total_recorded();
     // Final dump: the loop already dumped on clean→failing transitions;
     // overwriting with the end-of-run state keeps the newest entries and
     // guarantees the file exists even for runs that never failed.
-    if (!options.flight_dump_path.empty()) {
-      if (!flight->dump_to_file(options.flight_dump_path.c_str())) {
-        SCOUT_WARN("stream", "failed to write flight dump to "
-                                 << options.flight_dump_path);
-      }
+    if (!options.flight_dump_path.empty() &&
+        !rig.flight->dump_to_file(options.flight_dump_path.c_str())) {
+      SCOUT_WARN("stream", "failed to write flight dump to "
+                               << options.flight_dump_path);
     }
   }
 
-  report.final_inconsistent = last_check.inconsistent.size();
-  report.final_missing = last_check.missing_rules.size();
-  report.final_extra = last_check.extra_rule_count;
-  if (options.localize_final && !last_check.inconsistent.empty()) {
-    report.hypothesis_size =
-        monitor.localize(last_check).hypothesis.size();
+  const FabricCheck& last = report.final_check;
+  if (options.localize_final && !last.inconsistent.empty()) {
+    report.hypothesis_size = monitor.localize(last).hypothesis.size();
   }
-  if (options.remediate_final && !last_check.missing_rules.empty()) {
-    report.final_still_missing = monitor.remediate(last_check);
+  if (options.remediate_final && !last.missing_rules.empty()) {
+    report.final_still_missing = monitor.remediate(last);
   }
 
-  if (registry != nullptr) {
-    // The registry histograms are the one latency source of truth: the
-    // report percentiles are read back out of the snapshot, the same
-    // numbers scoutctl --telemetry and the benches export.
+  if (rig.registry != nullptr) {
+    // The registry is the one source of truth for every series: the
+    // report carries its snapshot, the same numbers scoutctl --telemetry
+    // and the benches export.
     report.telemetry = monitor.snapshot_metrics();
     report.periodic_snapshot_count = monitor.periodic_snapshots().size();
-    if (const LogHistogram* wall =
-            report.telemetry.histogram("stream.wall_latency_ms")) {
-      report.p50_latency_ms = wall->quantile(0.50);
-      report.p99_latency_ms = wall->quantile(0.99);
-      report.max_latency_ms = wall->max();
-    }
-    if (const LogHistogram* sim =
-            report.telemetry.histogram("stream.sim_latency_ms")) {
-      report.sim_p50_latency_ms = sim->quantile(0.50);
-      report.sim_p99_latency_ms = sim->quantile(0.99);
-      report.sim_max_latency_ms = sim->max();
-    }
-    if (trace != nullptr) {
-      report.trace_json = trace->to_chrome_json(&report.telemetry);
+    if (rig.trace != nullptr) {
+      report.trace_json = rig.trace->to_chrome_json(&report.telemetry);
     }
   }
   return report;

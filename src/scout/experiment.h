@@ -19,7 +19,9 @@
 #include "src/riskmodel/risk_model.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/result_sink.h"
+#include "src/scout/scout_system.h"
 #include "src/stream/churn_generator.h"
+#include "src/stream/incident.h"
 #include "src/stream/incremental_checker.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/policy_generator.h"
@@ -253,12 +255,15 @@ struct ScaleCampaignOptions {
 //
 // Builds one fabric, attaches an EventBus, primes a MonitorLoop and then
 // alternates churn pumps with drains until `events` events have been
-// verified. The monitor mode (incremental vs full recheck per batch) only
-// changes how verdicts are computed, never what they are: the churn is a
-// pure function of (profile, seed, mix), so two runs differing only in
-// `incremental` (or in the executor's worker count) produce identical
-// event streams and must produce identical verdict digests —
-// bench/stream_latency.cpp and tests/test_stream_monitor.cpp enforce it.
+// verified. The churn is stream::ConcurrentChurnDriver's seeded schedule:
+// each pump is a quarter control ops (the mix's resync ... migrate
+// weights) and three quarters data ops (its evict/corrupt weights), a pure
+// function of (profile, seed, mix). The monitor mode (incremental vs full
+// recheck per batch), the executor's worker count and the transport
+// (serial, or 1/2/4 ring publishers) only change how events travel and
+// how verdicts are computed, never what they are: such runs must produce
+// identical verdict digests — bench/stream_latency.cpp and
+// tests/test_stream_monitor.cpp enforce it.
 
 struct MonitoringOptions {
   GeneratorProfile profile = GeneratorProfile::scaled(32);
@@ -280,9 +285,9 @@ struct MonitoringOptions {
   // Run SCOUT localization over the final verdict's suspects.
   bool localize_final = true;
   // Telemetry. On, the run owns a MetricsRegistry wired through the
-  // monitor and the report's latency percentiles come from its
-  // histograms; off is the zero-instrumentation baseline the overhead
-  // gate in bench/stream_latency.cpp compares against.
+  // monitor and the report's snapshot carries every latency, ring and
+  // fault-engine series; off is the zero-instrumentation baseline the
+  // overhead gate in bench/stream_latency.cpp compares against.
   bool collect_telemetry = true;
   // Also record pipeline trace spans (report.trace_json, Chrome format).
   bool collect_trace = false;
@@ -290,24 +295,21 @@ struct MonitoringOptions {
   std::size_t snapshot_every_batches = 0;
   // Remediate the final verdict (reinstall missing rules + re-check).
   bool remediate_final = false;
-  // Concurrent publish. 0 = the legacy serial ChurnGenerator. > 0 drives
-  // churn through ConcurrentChurnDriver: that many publisher threads run
-  // the data-plane fault schedule while control-plane churn stays serial.
+  // Transport of the data-op schedule. 0 = serial: the driver executes it
+  // on the calling thread through the bus. > 0 = that many publisher
+  // threads append it to an MpscRing attached to the bus. The schedule is
+  // publisher-count independent, so verdict digests match across
+  // {publishers} x {workers}.
   std::size_t publishers = 0;
-  // With publishers > 0: route the data phase through an MpscRing attached
-  // to the bus (true), or execute the identical schedule serially through
-  // the bus (false) — the differential baseline leg. The schedule is
-  // publisher-count independent either way, so verdict digests must match
-  // across {use_ring} x {publishers} x {workers}.
-  bool use_ring = true;
   // Ring shard capacity (0 = the MpscRing default). Tests set tiny values
   // to force overflow evictions -> shadow resyncs.
   std::size_t ring_capacity = 0;
-  // Free-run: publishers run the whole event budget while the monitor
-  // drains concurrently (kBackpressure ring; evictions only possible at
-  // stop()-time close). Batch digests are timing-dependent here, so the
-  // correctness gate is final_verdict_matches_fresh instead; pacing and
-  // verify_batches are ignored.
+  // Free-run (needs publishers > 0): publishers run the whole event budget
+  // while the monitor drains concurrently (kBackpressure ring; evictions
+  // only possible at stop()-time close). Batch digests are
+  // timing-dependent here, so the correctness gate is
+  // final_verdict_matches_fresh instead; pacing and verify_batches are
+  // ignored.
   bool pipelined = false;
   // -- fault classes beyond the churn mix (src/faults) ----------------------
   // Gray agents: every agent gets a misrender/drop profile scaled off this
@@ -340,9 +342,6 @@ struct MonitoringOptions {
   // the monitor. Observe-only — verdict digests are bit-identical with
   // this on or off (tests/test_incidents.cpp pins it).
   bool collect_incidents = false;
-  // Write the incident log JSON here at end of run (empty = keep it only
-  // in report.incident_json).
-  std::string incident_log_path;
   // Attach a flight recorder (telemetry/flight_recorder.h) to the monitor
   // and dump it on every clean→failing verdict transition.
   bool collect_flight = false;
@@ -364,6 +363,12 @@ struct MonitoringOptions {
   std::size_t churn_top_k = 32;
 };
 
+// What only the driver knows. Every other number — detection latency
+// (stream.wall_latency_ms / stream.sim_latency_ms), ring evictions and
+// stalls (stream.ring_*), storm episodes (faults.storm.episodes), gray
+// misrenders and drops (faults.gray.*), TCAM evictions (tcam.evictions.*),
+// health (health.status) — is read from `telemetry`, the registry snapshot
+// taken at the end of the run (empty when collect_telemetry is off).
 struct MonitoringReport {
   std::size_t events = 0;
   std::size_t batches = 0;
@@ -374,57 +379,36 @@ struct MonitoringReport {
   std::uint64_t verdict_digest = 0;
   double wall_seconds = 0.0;    // whole run, churn included
   double drain_seconds = 0.0;   // verification cost only (mode-dependent)
-  double events_per_sec = 0.0;  // events / drain_seconds
-  // Event-to-detection latency, wall clock (publish steady_clock stamp ->
-  // verdict instant), from the "stream.wall_latency_ms" histogram.
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
-  // Same detection latency in *sim* time (event SimTime -> network clock
-  // at the verdict) — reported separately, never mixed with wall.
-  double sim_p50_latency_ms = 0.0;
-  double sim_p99_latency_ms = 0.0;
-  double sim_max_latency_ms = 0.0;
-  stream::IncrementalChecker::Stats checker;  // zeros in full-recheck mode
-  std::size_t verify_mismatches = 0;          // verify_batches failures
-  // Final fabric verdict summary + localization handoff.
-  std::size_t final_inconsistent = 0;
-  std::size_t final_missing = 0;
-  std::size_t final_extra = 0;
+  // The last batch's verdict, and what localization / remediation
+  // (localize_final / remediate_final) made of it.
+  FabricCheck final_check;
   std::size_t hypothesis_size = 0;
-  // Remediation (remediate_final): rules still missing after the pass.
-  std::size_t final_still_missing = 0;
-  // Telemetry artifacts (empty when collect_telemetry is off).
-  telemetry::MetricsSnapshot telemetry;
-  std::size_t periodic_snapshot_count = 0;
-  std::string trace_json;  // Chrome trace (collect_trace only)
-  // Concurrent-publish metrics (publishers > 0 runs). The wall-clock rate
-  // is the end-to-end one (churn + verification overlapped in pipelined
-  // mode) — the number the >=10x concurrent-vs-serial gate compares.
-  double publish_wall_events_per_sec = 0.0;
-  std::uint64_t ring_evictions = 0;
-  std::uint64_t ring_full_stalls = 0;
+  std::size_t final_still_missing = 0;  // rules missing after remediation
+  std::size_t verify_mismatches = 0;    // verify_batches failures
   // Pipelined runs: does the final composed verdict equal a fresh
   // ScoutSystem::check_all after quiescence? (true for every other mode.)
   bool final_verdict_matches_fresh = true;
-  // Fault-class tallies (gray/storm/eviction options above).
-  std::size_t storm_episodes = 0;
-  std::uint64_t gray_misrenders = 0;
-  std::uint64_t gray_drops = 0;
-  std::uint64_t tcam_evictions = 0;
-  // Incident provenance (collect_incidents).
-  std::size_t incidents = 0;
-  std::size_t incidents_unattributed = 0;
-  std::size_t incident_first_cause_correct = 0;
-  double incident_precision = 1.0;
-  double incident_recall = 1.0;
-  std::string incident_json;  // full scout-incidents-v1 log
-  // Health engine (collect_health): final overall grade, 0/1/2 =
-  // ok/warn/critical, plus the engine's JSON summary.
-  int health_status = 0;
-  std::string health_json;
-  // Flight recorder (collect_flight): lifetime entries recorded.
-  std::uint64_t flight_entries = 0;
+  stream::IncrementalChecker::Stats checker;  // zeros in full-recheck mode
+  stream::IncidentBuilder::Totals incident_totals;  // collect_incidents
+  // Artifacts.
+  telemetry::MetricsSnapshot telemetry;
+  std::size_t periodic_snapshot_count = 0;
+  std::uint64_t flight_entries = 0;  // collect_flight: lifetime entries
+  std::string trace_json;            // Chrome trace (collect_trace)
+  std::string incident_json;         // scout-incidents-v1 log
+  std::string health_json;           // health engine summary
+
+  // Verification throughput: events / drain_seconds.
+  [[nodiscard]] double events_per_sec() const noexcept;
+  // End-to-end rate, churn included (overlapped with verification in
+  // pipelined mode): events / wall_seconds. The >=10x concurrent-vs-serial
+  // gate compares this one.
+  [[nodiscard]] double wall_events_per_sec() const noexcept;
+  // Event-to-detection latency out of the snapshot, wall clock (publish
+  // steady_clock stamp -> verdict instant) and sim time (event SimTime ->
+  // network clock at the verdict); empty histograms without telemetry.
+  [[nodiscard]] const LogHistogram& wall_latency() const noexcept;
+  [[nodiscard]] const LogHistogram& sim_latency() const noexcept;
 };
 
 [[nodiscard]] MonitoringReport run_continuous_monitoring(

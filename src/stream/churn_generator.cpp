@@ -20,17 +20,13 @@ ChurnGenerator::ChurnGenerator(SimNetwork& net, EventBus& bus,
                                std::uint64_t seed, ChurnMix mix)
     : net_(&net), bus_(&bus), rng_(seed), mix_(mix) {}
 
-SwitchAgent& ChurnGenerator::agent_at(std::size_t index) {
-  return *net_->agents()[index].get();
-}
-
 SwitchAgent* ChurnGenerator::healthy_agent() {
   const auto agents = net_->agents();
   if (agents.empty()) return nullptr;
   // Bounded random probing keeps the draw count deterministic-ish cheap;
   // fall back to a scan so "one healthy switch left" still terminates.
   for (int tries = 0; tries < 8; ++tries) {
-    SwitchAgent& a = agent_at(rng_.below(agents.size()));
+    SwitchAgent& a = *agents[rng_.below(agents.size())];
     if (!a.crashed() && !contains(disconnected_, a.id())) return &a;
   }
   for (const auto& a : agents) {
@@ -39,20 +35,11 @@ SwitchAgent* ChurnGenerator::healthy_agent() {
   return nullptr;
 }
 
-std::size_t ChurnGenerator::pump(std::size_t ops, bool allow_valve) {
+std::size_t ChurnGenerator::pump(std::size_t ops) {
   const EventBus::Cursor start = bus_->cursor();
   for (std::size_t i = 0; i < ops; ++i) {
     step();
     ++ops_;
-  }
-  if (allow_valve && bus_->cursor() == start) {
-    // Degenerate-network valve: force repair churn (a resync always
-    // republishes something on a deployed fabric) before reporting a
-    // silent interval.
-    if (SwitchAgent* a = healthy_agent()) {
-      (void)net_->controller().resync_switch(a->id());
-      ++ops_;
-    }
   }
   return bus_->cursor() - start;
 }
@@ -64,8 +51,8 @@ void ChurnGenerator::step() {
   net_->clock().advance(rng_.between(1, 40));
   const SimTime now = net_->clock().now();
 
-  const double weights[] = {mix_.evict,   mix_.corrupt,       mix_.resync,
-                            mix_.crash,   mix_.recover,       mix_.channel_flap,
+  const double weights[] = {mix_.resync,        mix_.crash,
+                            mix_.recover,       mix_.channel_flap,
                             mix_.benign_change, mix_.migrate};
   double total = 0.0;
   for (const double w : weights) total += std::max(0.0, w);
@@ -78,35 +65,13 @@ void ChurnGenerator::step() {
   }
 
   switch (op) {
-    case 0: {  // evict
-      SwitchAgent& a = agent_at(rng_.below(agents.size()));
-      const CauseId cause =
-          CauseId::make(CauseEngine::kChurnEvict, ++cause_ordinal_);
-      CauseScope scope{cause};
-      if (a.evict_rules(1 + rng_.below(3), now) > 0 && ledger_ != nullptr) {
-        ledger_->record(cause, a.id(), now);
-      }
-      break;
-    }
-    case 1: {  // corrupt
-      SwitchAgent& a = agent_at(rng_.below(agents.size()));
-      const CauseId cause =
-          CauseId::make(CauseEngine::kChurnCorrupt, ++cause_ordinal_);
-      CauseScope scope{cause};
-      const auto corruption =
-          a.corrupt_tcam_bit(rng_, now, /*detection_probability=*/0.5);
-      if (corruption.has_value() && ledger_ != nullptr) {
-        ledger_->record(cause, a.id(), now);
-      }
-      break;
-    }
-    case 2: {  // resync (repair churn on a healthy switch)
+    case 0: {  // resync (repair churn on a healthy switch)
       if (SwitchAgent* a = healthy_agent()) {
         (void)controller.resync_switch(a->id());
       }
       break;
     }
-    case 3: {  // crash mid-resync: the §V-B hard case, switch ends wiped
+    case 1: {  // crash mid-resync: the §V-B hard case, switch ends wiped
       SwitchAgent* a = healthy_agent();
       if (a == nullptr) break;
       const CauseId cause =
@@ -118,7 +83,7 @@ void ChurnGenerator::step() {
       if (ledger_ != nullptr) ledger_->record(cause, a->id(), now);
       break;
     }
-    case 4: {  // recover a crashed agent and resync it clean
+    case 2: {  // recover a crashed agent and resync it clean
       if (crashed_.empty()) break;
       const SwitchId sw = crashed_[rng_.below(crashed_.size())];
       net_->agent(sw).recover(now);
@@ -126,7 +91,7 @@ void ChurnGenerator::step() {
       (void)controller.resync_switch(sw);
       break;
     }
-    case 5: {  // channel flap: down now, up + resync on a later flap
+    case 3: {  // channel flap: down now, up + resync on a later flap
       if (!disconnected_.empty() && rng_.chance(0.6)) {
         const SwitchId sw =
             disconnected_[rng_.below(disconnected_.size())];
@@ -139,7 +104,7 @@ void ChurnGenerator::step() {
       }
       break;
     }
-    case 6: {  // benign change-log noise
+    case 4: {  // benign change-log noise
       const NetworkPolicy& policy = controller.policy();
       const std::size_t kind = rng_.below(3);
       if (kind == 0 && !policy.filters().empty()) {
@@ -154,7 +119,7 @@ void ChurnGenerator::step() {
       }
       break;
     }
-    case 7: {  // endpoint migration: recompile (epoch bump) + two resyncs
+    case 5: {  // endpoint migration: recompile (epoch bump) + two resyncs
       const NetworkPolicy& policy = controller.policy();
       if (policy.endpoints().empty()) break;
       const EndpointId ep =
@@ -174,19 +139,13 @@ void ChurnGenerator::step() {
 
 namespace {
 
-// Control tail runs the policy/repair ops only; evict and corrupt belong
-// to the concurrent data phase.
-ChurnMix control_tail_mix(ChurnMix mix) {
-  mix.evict = 0.0;
-  mix.corrupt = 0.0;
-  return mix;
+// A quarter of each interval's ops (at least one) run as the serial
+// control tail; the rest are data-plane faults.
+std::size_t control_ops_of(std::size_t ops) {
+  return std::min(ops, std::max<std::size_t>(1, ops / 4));
 }
 
 }  // namespace
-
-ConcurrentChurnDriver::ConcurrentChurnDriver(SimNetwork& net, EventBus& bus,
-                                             std::uint64_t seed)
-    : ConcurrentChurnDriver(net, bus, seed, Options{}) {}
 
 ConcurrentChurnDriver::ConcurrentChurnDriver(SimNetwork& net, EventBus& bus,
                                              std::uint64_t seed,
@@ -195,21 +154,17 @@ ConcurrentChurnDriver::ConcurrentChurnDriver(SimNetwork& net, EventBus& bus,
       bus_(&bus),
       options_(options),
       schedule_seed_(derive_seed(seed, 0)),
-      control_(net, bus, derive_seed(seed, 1),
-               control_tail_mix(options.mix)) {
-  SCOUT_CHECK(options_.publishers > 0,
-              "ConcurrentChurnDriver: at least one publisher");
-  if (options_.use_ring) {
-    SCOUT_CHECK(bus_->ring() != nullptr,
-                "ConcurrentChurnDriver: use_ring requires an attached ring");
-    SCOUT_CHECK(bus_->ring()->publishers() >= options_.publishers,
-                "ConcurrentChurnDriver: ring has "
-                    << bus_->ring()->publishers() << " shards, need "
-                    << options_.publishers);
-    workers_.reserve(options_.publishers);
-    for (std::size_t p = 0; p < options_.publishers; ++p) {
-      workers_.emplace_back([this, p] { worker_main(p); });
-    }
+      control_(net, bus, derive_seed(seed, 1), options.mix) {
+  if (options_.publishers == 0) return;  // serial transport
+  SCOUT_CHECK(bus_->ring() != nullptr,
+              "ConcurrentChurnDriver: publishers need an attached ring");
+  SCOUT_CHECK(bus_->ring()->publishers() >= options_.publishers,
+              "ConcurrentChurnDriver: ring has "
+                  << bus_->ring()->publishers() << " shards, need "
+                  << options_.publishers);
+  workers_.reserve(options_.publishers);
+  for (std::size_t p = 0; p < options_.publishers; ++p) {
+    workers_.emplace_back([this, p] { worker_main(p); });
   }
 }
 
@@ -323,13 +278,7 @@ void ConcurrentChurnDriver::worker_main(std::size_t pub) {
 
 std::size_t ConcurrentChurnDriver::pump(std::size_t ops) {
   const EventBus::Cursor start = bus_->cursor();
-  std::size_t control_ops =
-      ops == 0 ? 0
-               : std::max<std::size_t>(
-                     1, static_cast<std::size_t>(
-                            static_cast<double>(ops) *
-                            options_.control_fraction));
-  control_ops = std::min(control_ops, ops);
+  const std::size_t control_ops = control_ops_of(ops);
   make_schedule(ops - control_ops);
   if (!schedule_.empty()) {
     if (!workers_.empty()) {
@@ -343,7 +292,7 @@ std::size_t ConcurrentChurnDriver::pump(std::size_t ops) {
   }
   fold_schedule_truths();
   if (bus_->ring() != nullptr) (void)bus_->ingest_ring();
-  if (control_ops > 0) (void)control_.pump(control_ops, /*allow_valve=*/false);
+  (void)control_.pump(control_ops);
   return bus_->cursor() - start;
 }
 
@@ -352,17 +301,12 @@ std::size_t ConcurrentChurnDriver::pump_control(std::size_t ops) {
   // also the first serial point where a pipelined segment's truths can
   // be folded.
   fold_schedule_truths();
-  if (ops == 0) return 0;
-  const std::size_t control_ops = std::min(
-      ops, std::max<std::size_t>(
-               1, static_cast<std::size_t>(static_cast<double>(ops) *
-                                           options_.control_fraction)));
-  return control_.pump(control_ops, /*allow_valve=*/false);
+  return control_.pump(control_ops_of(ops));
 }
 
 void ConcurrentChurnDriver::start(std::size_t total_ops) {
   SCOUT_CHECK(!workers_.empty(),
-              "ConcurrentChurnDriver::start: pipelined mode needs use_ring");
+              "ConcurrentChurnDriver::start: pipelined mode needs publishers");
   stop_requested_.store(false, std::memory_order_release);
   make_schedule(total_ops);
   if (!schedule_.empty()) dispatch(/*wait_done=*/false);

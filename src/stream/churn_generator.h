@@ -1,10 +1,10 @@
-// Deterministic churn generator: replays a weighted mix of the paper's
-// §II-B / §V-B failure and policy actions against a live SimNetwork, with
-// every action publishing its events to the attached bus. The continuous
-// monitoring driver pumps it between drains; the same (seed, mix, network)
-// always produces the same op sequence and therefore the same event
-// stream, which is what lets incremental and full-recheck monitoring runs
-// be compared verdict-for-verdict.
+// Deterministic churn: the paper's §II-B / §V-B failure and policy actions
+// replayed against a live SimNetwork, every action publishing its events to
+// the attached bus. ConcurrentChurnDriver below is the one op stream the
+// continuous monitoring driver pumps between drains; the same (seed, mix,
+// network) always produces the same op sequence and therefore the same
+// event stream, which is what lets incremental and full-recheck monitoring
+// runs, and serial and ring transports, be compared verdict-for-verdict.
 #pragma once
 
 #include <atomic>
@@ -21,14 +21,16 @@
 
 namespace scout::stream {
 
-// Relative op weights (normalized internally; zero disables an op). The
-// defaults model a fault-dominated live fabric: a steady drip of 1-3-event
-// TCAM faults, occasional repair/resync bursts that republish a whole
-// switch, and rare policy-layer actions (a migration bumps the compiled
-// epoch, the monitor's most expensive path).
+// Relative op weights (zero disables an op). A quarter of each pump (at
+// least one op) is control ops; the rest are data ops. evict/corrupt pick
+// among the data ops, the other six weights among the control ops, each
+// group normalized on its own. The defaults model a fault-dominated live fabric: a steady
+// drip of 1-3-event TCAM faults, occasional repair/resync bursts that
+// republish a whole switch, and rare policy-layer actions (a migration
+// bumps the compiled epoch, the monitor's most expensive path).
 struct ChurnMix {
-  double evict = 0.50;           // agent drops 1-3 low-priority rules
-  double corrupt = 0.28;         // one TCAM bit flip, half detected
+  double evict = 0.50;           // data: agent drops 1-3 low-priority rules
+  double corrupt = 0.28;         // data: one TCAM bit flip, half detected
   double resync = 0.05;          // controller re-pushes one healthy switch
   double crash = 0.015;          // agent crashes mid-resync (switch wiped)
   double recover = 0.015;        // crashed agent recovers + resync
@@ -37,33 +39,32 @@ struct ChurnMix {
   double migrate = 0.005;        // endpoint migration: epoch bump + resyncs
 };
 
+// The control-plane ops of a ChurnMix (everything that touches the
+// controller: resyncs, crashes, recoveries, flaps, change records,
+// migrations), run serially. ConcurrentChurnDriver runs one as the serial
+// tail of each interval; the mix's evict/corrupt weights are ignored here.
 class ChurnGenerator {
  public:
   ChurnGenerator(SimNetwork& net, EventBus& bus, std::uint64_t seed,
                  ChurnMix mix = {});
 
-  // Apply `ops` churn ops (one monitoring interval's worth of fabric
-  // activity) and return how many events they published. Most ops publish
-  // 1-3 events; repair/resync ops burst a whole switch's reinstalls. If
-  // the interval published nothing (degenerate network), a forced resync
-  // valve tries once to restart the stream before returning 0 — pass
-  // allow_valve=false to skip that (ConcurrentChurnDriver's control tail
-  // rides alongside a data phase that already published).
-  std::size_t pump(std::size_t ops, bool allow_valve = true);
+  // Apply `ops` control ops and return how many events they published.
+  // Most publish nothing or a handful; repair/resync ops burst a whole
+  // switch's reinstalls.
+  std::size_t pump(std::size_t ops);
 
   [[nodiscard]] std::size_t ops_applied() const noexcept { return ops_; }
 
-  // Incident-provenance ground truth: while attached, every harmful op
-  // (evict / corrupt / crash — the ops that can break L-T consistency)
-  // that actually mutated state appends one entry. Causes are minted
-  // regardless (counter bumps, no RNG draws), so attaching a ledger never
-  // changes the op stream or the verdict digests. Benign ops (resyncs,
-  // recoveries, flaps, change records, migrations) stay null-cause.
+  // Incident-provenance ground truth: while attached, every crash (the one
+  // control op that can break L-T consistency) appends one entry. Causes
+  // are minted regardless (counter bumps, no RNG draws), so attaching a
+  // ledger never changes the op stream or the verdict digests. The other
+  // ops (resyncs, recoveries, flaps, change records, migrations) stay
+  // null-cause.
   void set_cause_ledger(CauseLedger* ledger) noexcept { ledger_ = ledger; }
 
  private:
   void step();
-  [[nodiscard]] SwitchAgent& agent_at(std::size_t index);
   // A random connected, non-crashed switch; nullptr when none qualifies.
   [[nodiscard]] SwitchAgent* healthy_agent();
 
@@ -78,11 +79,13 @@ class ChurnGenerator {
   std::uint64_t cause_ordinal_ = 0;
 };
 
-// Multi-threaded churn driver: data-plane faults (evict / corrupt — the
-// switch-local ops) execute on N persistent publisher threads that append
-// to the bus's attached MpscRing, while control-plane churn (resyncs,
-// crashes, flaps, migrations — everything that touches the controller)
-// stays a serial tail on the driver thread via a nested ChurnGenerator.
+// The churn schedule. Each pump() interval is a quarter control ops, run
+// serially by a nested ChurnGenerator tail, and three quarters data-plane
+// faults (evict / corrupt, the switch-local ops), drawn up front as a
+// schedule. With publishers == 0 the driver executes that schedule itself
+// through the bus: the serial transport, no threads and no ring. With
+// publishers > 0, that many persistent publisher threads execute it and
+// append to the bus's attached MpscRing.
 //
 // Determinism contract: the data-op schedule is a pure function of
 // (seed, interval index, op index) — never of the publisher count or of
@@ -92,34 +95,29 @@ class ChurnGenerator {
 // (agent_index % publishers) and stay in schedule order there, so
 // per-switch event order — the only order the incremental checker's
 // verdict depends on — is identical across 1/2/4 publishers and equal to
-// a serial-transport execution of the same schedule. That is what lets
-// tests/test_stream_monitor.cpp and bench/stream_latency.cpp demand
-// bit-identical verdict digests between the serial and concurrent legs.
+// the serial transport's. That is what lets tests/test_stream_monitor.cpp
+// and bench/stream_latency.cpp demand bit-identical verdict digests
+// between the serial and concurrent legs.
 //
 // Two driving modes:
 //  * pump(ops) — phased: schedule the interval's data ops, run them to
-//    completion on the publishers, ingest the ring, then run the serial
-//    control tail. The monitor drains between pumps (the lock-step shape
-//    run_continuous_monitoring uses for digest comparison).
-//  * start(total) / producing() / stop() — pipelined: publishers free-run
-//    the whole budget while the monitor drains concurrently. Use a
-//    kBackpressure ring so nothing is evicted mid-run; stop() closes the
-//    ring (unblocking any spinner) and joins the in-flight generation.
+//    completion (serially or on the publishers), ingest the ring, then run
+//    the serial control tail. The monitor drains between pumps (the
+//    lock-step shape run_continuous_monitoring uses for digest comparison).
+//  * start(total) / producing() / stop() — pipelined, publishers > 0 only:
+//    publishers free-run the whole budget while the monitor drains
+//    concurrently. Use a kBackpressure ring so nothing is evicted mid-run;
+//    stop() closes the ring (unblocking any spinner) and joins the
+//    in-flight generation.
 class ConcurrentChurnDriver {
  public:
   struct Options {
-    std::size_t publishers = 2;
-    // Fraction of each pump()'s ops run as the serial control-plane tail
-    // (at least one op; the rest are concurrent data-plane faults).
-    double control_fraction = 0.25;
-    // Weights: evict/corrupt drive the data phase; the rest the tail.
+    // 0 = serial transport; > 0 needs a ring with at least this many
+    // shards attached to the bus.
+    std::size_t publishers = 0;
     ChurnMix mix{};
-    // When false no threads are spawned and pump() executes the identical
-    // schedule serially through the bus — the differential baseline.
-    bool use_ring = true;
   };
 
-  ConcurrentChurnDriver(SimNetwork& net, EventBus& bus, std::uint64_t seed);
   ConcurrentChurnDriver(SimNetwork& net, EventBus& bus, std::uint64_t seed,
                         Options options);
   ~ConcurrentChurnDriver();
@@ -131,14 +129,14 @@ class ConcurrentChurnDriver {
   std::size_t pump(std::size_t ops);
 
   // Pipelined: hand the publishers a segment's schedule and return
-  // immediately. Driver thread only; requires use_ring.
+  // immediately. Driver thread only; requires publishers > 0.
   void start(std::size_t total_ops);
   [[nodiscard]] bool producing() const;
-  // Serial control-plane tail for `ops` interval-ops (the same
-  // control_fraction split pump() applies). Pipelined drivers call this
-  // between free-run segments, at publisher quiescence — control churn
-  // mutates the controller and republishes switches, which must never
-  // overlap the data-plane publishers.
+  // Serial control-plane tail for `ops` interval-ops (the same quarter
+  // pump() runs as control ops). Pipelined drivers call this between
+  // free-run segments, at publisher quiescence — control churn mutates the
+  // controller and republishes switches, which must never overlap the
+  // data-plane publishers.
   std::size_t pump_control(std::size_t ops);
   // Request early stop, close the ring (unblocks backpressure spinners)
   // and join the in-flight generation. Idempotent.
@@ -154,9 +152,6 @@ class ConcurrentChurnDriver {
     control_.set_cause_ledger(ledger);
   }
 
-  [[nodiscard]] std::size_t publishers() const noexcept {
-    return options_.publishers;
-  }
   [[nodiscard]] std::size_t ops_applied() const noexcept;
 
  private:

@@ -1,7 +1,6 @@
 #include "src/stream/incident.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "src/common/json_writer.h"
@@ -267,15 +266,6 @@ std::string IncidentBuilder::to_json() const {
   JsonWriter w;
   write_json(w);
   return w.str();
-}
-
-bool IncidentBuilder::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size();
-  return (std::fclose(f) == 0) && ok;
 }
 
 }  // namespace scout::stream

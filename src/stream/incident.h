@@ -141,7 +141,6 @@ class IncidentBuilder {
 
   void write_json(JsonWriter& w) const;
   [[nodiscard]] std::string to_json() const;
-  bool write_file(const std::string& path) const;
 
  private:
   struct EventSummary {

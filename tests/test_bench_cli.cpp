@@ -97,6 +97,11 @@ TEST(BenchCli, SizeFlagFallsBackOnMalformedValue) {
   Argv negative{{"--threads", "-3"}};
   EXPECT_EQ(size_flag(negative.argc(), negative.argv(), "threads", 1, 1, 256),
             1u);
+  // strtoull skips the blank and wraps the '-' to SIZE_MAX.
+  Argv blank_negative{{"--threads", " -1"}};
+  EXPECT_EQ(size_flag(blank_negative.argc(), blank_negative.argv(), "threads",
+                      1, 1, 256),
+            1u);
 }
 
 TEST(BenchCli, SizeFlagClampsIntoRange) {
@@ -106,6 +111,18 @@ TEST(BenchCli, SizeFlagClampsIntoRange) {
   EXPECT_EQ(size_flag(high.argc(), high.argv(), "threads", 1, 1,
                       kMaxBenchThreads),
             kMaxBenchThreads);
+}
+
+TEST(BenchCli, ParseFractionAcceptsOnlyTheUnitInterval) {
+  EXPECT_EQ(parse_fraction("0"), std::optional<double>{0.0});
+  EXPECT_EQ(parse_fraction("0.15"), std::optional<double>{0.15});
+  EXPECT_EQ(parse_fraction("1"), std::optional<double>{1.0});
+  EXPECT_EQ(parse_fraction("1e-1"), std::optional<double>{0.1});
+  for (const char* bad : {"abc", "7", "1.0001", "-0.1", "0.5x", "", "nan",
+                          "inf"}) {
+    EXPECT_FALSE(parse_fraction(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_fraction(nullptr).has_value());
 }
 
 TEST(BenchCli, ListFlagDropsMalformedEntriesKeepsRest) {

@@ -2,7 +2,7 @@
 // rendering faults, the three correlated storm profiles, each pluggable
 // TCAM eviction policy, and delayed/reordered control delivery — must
 // leave the monitor's verdict stream a pure function of the seed. Per
-// seed the serial-transport anchor (1 publisher, no ring) and the
+// seed the serial-transport anchor (0 publishers, no ring) and the
 // 4-publisher MPSC-ring leg must produce bit-identical verdict digests,
 // and both legs must match a fresh ScoutSystem::check_all after every
 // batch (verify_batches).
@@ -48,8 +48,7 @@ MonitoringOptions chaos_scenario(std::uint64_t seed, const FaultClass& fc) {
 void run_differential_gate(const FaultClass& fc) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     MonitoringOptions base = chaos_scenario(seed, fc);
-    base.publishers = 1;
-    base.use_ring = false;
+    base.publishers = 0;
     runtime::SerialExecutor serial_exec;
     const MonitoringReport anchor =
         run_continuous_monitoring(base, serial_exec);
@@ -58,7 +57,6 @@ void run_differential_gate(const FaultClass& fc) {
 
     MonitoringOptions ring = chaos_scenario(seed, fc);
     ring.publishers = 4;
-    ring.use_ring = true;
     const auto executor = runtime::make_executor(2);
     const MonitoringReport report =
         run_continuous_monitoring(ring, *executor);
@@ -121,20 +119,45 @@ TEST(FaultStorms, FaultEnginesActuallyFire) {
     const FaultClass fc{"rack-power", 0.0, "rack-power", "", 0};
     const MonitoringReport report =
         run_continuous_monitoring(chaos_scenario(5, fc), executor);
-    EXPECT_GT(report.storm_episodes, 0u);
+    EXPECT_GT(report.telemetry.counter("faults.storm.episodes"), 0u);
   }
   {
     const FaultClass fc{"gray", 0.35, "", "", 0};
     const MonitoringReport report =
         run_continuous_monitoring(chaos_scenario(5, fc), executor);
-    EXPECT_GT(report.gray_misrenders + report.gray_drops, 0u);
+    EXPECT_GT(report.telemetry.counter("faults.gray.misrenders") +
+                  report.telemetry.counter("faults.gray.drops"),
+              0u);
   }
   {
     const FaultClass fc{"evict-fifo", 0.0, "", "fifo", 0};
     const MonitoringReport report =
         run_continuous_monitoring(chaos_scenario(5, fc), executor);
-    EXPECT_GT(report.tcam_evictions, 0u);
+    EXPECT_GT(report.telemetry.counter("tcam.evictions.fifo"), 0u);
   }
+}
+
+// Split mode heals on every other cadence tick, so the exported episode
+// count must follow the schedule's episodes, not its run_episode() calls.
+// Rack-power damage always leaves a rack to heal, so with a storm tick
+// after every batch the run starts ceil(batches / 2) episodes. The
+// configuration is incident_accuracy's storm leg.
+TEST(FaultStorms, SplitEpisodesCountedOncePerEpisode) {
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(12);
+  options.profile.target_pairs = 12 * 20;
+  options.events = 600;
+  options.batch_ops = 12;
+  options.seed = 41;
+  options.localize_final = false;
+  options.storm = "rack-power";
+  options.storm_every_batches = 1;
+  options.storm_split = true;
+  runtime::SerialExecutor executor;
+  const MonitoringReport report = run_continuous_monitoring(options, executor);
+  ASSERT_GE(report.batches, 2u);
+  EXPECT_EQ(report.telemetry.counter("faults.storm.episodes"),
+            (report.batches + 1) / 2);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ MonitoringOptions leg_scenario(std::uint64_t seed) {
 }
 
 // Evict-only churn: the single-fault-class leg where every harmful op is
-// a cause-stamped ChurnGenerator eviction.
+// a cause-stamped churn-driver eviction.
 MonitoringOptions evict_only_scenario(std::uint64_t seed) {
   MonitoringOptions options = leg_scenario(seed);
   options.mix = stream::ChurnMix{};
@@ -218,33 +218,33 @@ TEST(IncidentPipeline, EvictOnlyAttributionExactAcrossSeedsAndTransports) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     // Same concurrent-driver schedule both legs; only the transport flips
     // (serial bus vs 4-publisher MPSC ring) — the fault_storms pattern.
-    MonitoringOptions base = evict_only_scenario(seed);
-    base.collect_incidents = true;
-    base.publishers = 4;
-
-    MonitoringOptions serial = base;
-    serial.use_ring = false;
+    MonitoringOptions serial = evict_only_scenario(seed);
+    serial.collect_incidents = true;
+    serial.publishers = 0;
     const MonitoringReport anchor =
         run_continuous_monitoring(serial, executor);
 
-    MonitoringOptions ring = base;
-    ring.use_ring = true;
+    MonitoringOptions ring = serial;
+    ring.publishers = 4;
     const MonitoringReport report = run_continuous_monitoring(ring, executor);
 
     for (const MonitoringReport* r : {&anchor, &report}) {
-      EXPECT_DOUBLE_EQ(r->incident_precision, 1.0)
+      const stream::IncidentBuilder::Totals& totals = r->incident_totals;
+      EXPECT_DOUBLE_EQ(totals.precision(), 1.0)
           << "seed " << seed << " publishers "
           << (r == &anchor ? 0 : 4);
-      incidents_seen += r->incidents;
-      matched += r->incident_first_cause_correct;
-      attributed += r->incidents - r->incidents_unattributed;
-      truth += r->incidents;
+      incidents_seen += totals.incidents;
+      matched += totals.first_cause_correct;
+      attributed += totals.incidents - totals.unattributed_incidents;
+      truth += totals.incidents;
     }
     // One fault schedule, two transports: the verdict stream and the
     // incident structure must agree.
     EXPECT_EQ(report.verdict_digest, anchor.verdict_digest)
         << "seed " << seed;
-    EXPECT_EQ(report.incidents, anchor.incidents) << "seed " << seed;
+    EXPECT_EQ(report.incident_totals.incidents,
+              anchor.incident_totals.incidents)
+        << "seed " << seed;
   }
   // The leg must actually produce incidents to be a meaningful gate.
   EXPECT_GT(incidents_seen, 10u);
@@ -292,7 +292,7 @@ TEST(IncidentPipeline, GrayLegReportsIncidentJson) {
   EXPECT_NE(report.incident_json.find("\"totals\""), std::string::npos);
   ASSERT_FALSE(report.health_json.empty());
   EXPECT_EQ(report.health_json.front(), '{');
-  EXPECT_DOUBLE_EQ(report.incident_precision, 1.0);
+  EXPECT_DOUBLE_EQ(report.incident_totals.precision(), 1.0);
 }
 
 }  // namespace

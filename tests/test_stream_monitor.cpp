@@ -83,7 +83,7 @@ TEST(StreamMonitor, VerdictStreamIdenticalAcrossModesAndWorkerCounts) {
 // The concurrent-ingest differential: the ConcurrentChurnDriver's data-op
 // schedule is a pure function of the seed, so one seed must produce one
 // verdict-digest whether the data phase is executed serially through the
-// bus (use_ring = false) or published from 1/2/4 real publisher threads
+// bus (publishers = 0) or published from 1/2/4 real publisher threads
 // into the MpscRing — and whatever the drain-side worker count. Twenty
 // seeds walk the {publishers} x {workers} grid; every concurrent leg also
 // cross-checks each batch against a fresh check_all.
@@ -94,8 +94,7 @@ TEST(StreamMonitor, ConcurrentPublishersMatchSerialTransportAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     // Serial-transport anchor: same driver, same schedule, no ring.
     MonitoringOptions base = small_scenario(seed);
-    base.publishers = 1;
-    base.use_ring = false;
+    base.publishers = 0;
     runtime::SerialExecutor serial_exec;
     const MonitoringReport anchor =
         run_continuous_monitoring(base, serial_exec);
@@ -121,6 +120,30 @@ TEST(StreamMonitor, ConcurrentPublishersMatchSerialTransportAcrossSeeds) {
   EXPECT_GT(runs_with_epoch_bumps, 0u);
 }
 
+// One churn schedule: on the default ChurnMix at scoutctl's scale (the
+// configuration scoutctl monitor and stream_latency's default legs run),
+// the serial transport and a 4-publisher ring replay the same ops and so
+// fold one verdict digest.
+TEST(StreamMonitor, SerialTransportAndRingShareTheDefaultSchedule) {
+  MonitoringOptions serial;
+  serial.profile = GeneratorProfile::scaled(16);
+  serial.profile.target_pairs = 16 * 60;
+  serial.events = 600;
+  serial.seed = 1;
+  serial.localize_final = false;
+  runtime::SerialExecutor executor;
+  const MonitoringReport anchor = run_continuous_monitoring(serial, executor);
+
+  MonitoringOptions ring = serial;
+  ring.publishers = 4;
+  const MonitoringReport report = run_continuous_monitoring(ring, executor);
+  EXPECT_EQ(report.verdict_digest, anchor.verdict_digest);
+  EXPECT_EQ(report.events, anchor.events);
+  EXPECT_EQ(report.batches, anchor.batches);
+  EXPECT_EQ(report.churn_ops, anchor.churn_ops);
+  EXPECT_GT(anchor.inconsistent_batches, 0u);
+}
+
 // Overflow path: a capacity-8 ring with every data op funneled through one
 // publisher shard is guaranteed to overflow between drains. Evictions must
 // surface as shadow resyncs — and the resync'd verdicts must still match
@@ -133,8 +156,7 @@ TEST(StreamMonitor, OverflowEvictionForcesShadowResyncAndStaysExact) {
   // through the arena-rebuild branch and mask the overflow accounting
   // this test pins.
   base.mix.migrate = 0.0;
-  base.publishers = 1;
-  base.use_ring = false;
+  base.publishers = 0;
   const MonitoringReport anchor = run_continuous_monitoring(base, executor);
 
   MonitoringOptions options = small_scenario(9);
@@ -144,7 +166,7 @@ TEST(StreamMonitor, OverflowEvictionForcesShadowResyncAndStaysExact) {
   options.verify_batches = true;
   const MonitoringReport report =
       run_continuous_monitoring(options, executor);
-  EXPECT_GT(report.ring_evictions, 0u);
+  EXPECT_GT(report.telemetry.counter("stream.ring_evictions"), 0u);
   EXPECT_GT(report.checker.overflow_resyncs, 0u);
   EXPECT_EQ(report.verify_mismatches, 0u);
   EXPECT_EQ(report.verdict_digest, anchor.verdict_digest);
@@ -163,13 +185,16 @@ TEST(StreamMonitor, PipelinedFreeRunConvergesToFreshVerdict) {
       run_continuous_monitoring(options, *executor);
   EXPECT_TRUE(report.final_verdict_matches_fresh);
   EXPECT_GE(report.events, options.events);
-  EXPECT_GT(report.publish_wall_events_per_sec, 0.0);
+  EXPECT_GT(report.wall_events_per_sec(), 0.0);
   expect_counter_consistency(report);
 }
 
 TEST(StreamMonitor, DivergenceThresholdTripsKeepVerdictsExact) {
   runtime::SerialExecutor executor;
   MonitoringOptions options = small_scenario(7);
+  // No recompiles: an epoch bump rebuilds every arena in its batch, which
+  // takes precedence over the compaction this test pins.
+  options.mix.migrate = 0.0;
   options.verify_batches = true;
   // Compact aggressively: every touched switch trips almost immediately.
   options.checker.divergence_factor = 1.0;
@@ -189,14 +214,16 @@ TEST(StreamMonitor, EventCountAndLatencyAccounting) {
   EXPECT_GE(report.events, options.events);
   EXPECT_GT(report.batches, 0u);
   EXPECT_GT(report.churn_ops, 0u);
-  EXPECT_GT(report.events_per_sec, 0.0);
-  EXPECT_LE(report.p50_latency_ms, report.p99_latency_ms);
-  EXPECT_LE(report.p99_latency_ms, report.max_latency_ms);
-  // Sim-clock latency is reported in its own fields — never mixed with the
+  EXPECT_GT(report.events_per_sec(), 0.0);
+  const LogHistogram& wall = report.wall_latency();
+  EXPECT_LE(wall.quantile(0.50), wall.quantile(0.99));
+  EXPECT_LE(wall.quantile(0.99), wall.max());
+  // Sim-clock latency is its own histogram — never mixed with the
   // wall-clock numbers above — and must be internally consistent too.
-  EXPECT_LE(report.sim_p50_latency_ms, report.sim_p99_latency_ms);
-  EXPECT_LE(report.sim_p99_latency_ms, report.sim_max_latency_ms);
-  EXPECT_GE(report.sim_max_latency_ms, 0.0);
+  const LogHistogram& sim = report.sim_latency();
+  EXPECT_LE(sim.quantile(0.50), sim.quantile(0.99));
+  EXPECT_LE(sim.quantile(0.99), sim.max());
+  EXPECT_GE(sim.max(), 0.0);
 }
 
 // Every published event carries both clock stamps; each must be

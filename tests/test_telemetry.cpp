@@ -261,7 +261,9 @@ TEST(Telemetry, MonitorTraceSpansNestAndExport) {
   options.seed = 9;
   options.localize_final = false;
   options.collect_trace = true;
-  options.snapshot_every_batches = 2;
+  // One churn interval publishes far more than 60 events on this fabric
+  // (its control ops republish whole switches), so the run is one batch.
+  options.snapshot_every_batches = 1;
   runtime::SerialExecutor executor;
   const MonitoringReport report =
       run_continuous_monitoring(options, executor);
