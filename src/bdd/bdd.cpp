@@ -11,8 +11,9 @@ namespace scout {
 namespace {
 
 // SCOUT_BDD_PARANOID=1 re-verifies the full structural invariants after
-// every rollback — O(nodes) per rollback, so it is an explicit debugging
-// switch rather than a DCHECK. Read once; the flag cannot change mid-run.
+// every rollback — O(nodes + table) per rollback, so it is an explicit
+// debugging switch rather than a DCHECK. Read once; the flag cannot change
+// mid-run.
 [[nodiscard]] bool paranoid_invariants_enabled() noexcept {
   static const bool enabled = [] {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): magic-static init runs once,
@@ -32,6 +33,7 @@ namespace {
 constexpr std::size_t kMinTable = 1 << 6;
 constexpr std::size_t kMinCache = 1 << 12;
 constexpr std::size_t kMaxCache = 1 << 21;
+constexpr std::uint32_t kScratchBits = 8;  // initial query scratch: 256 slots
 
 }  // namespace
 
@@ -106,6 +108,26 @@ void BddManager::rebuild_table() {
   }
 }
 
+void BddManager::unwind_table(std::uint32_t floor) {
+  // The table is the in-order insertion of nodes 1..n. Node n went into
+  // the first free slot of its probe run, and every slot that run passed
+  // holds an older node, so clearing node n's slot gives back exactly the
+  // table of nodes 1..n-1. Newest first, that holds all the way down to
+  // `floor`.
+  for (auto idx = static_cast<std::uint32_t>(nodes_.size() - 1); idx >= floor;
+       --idx) {
+    const Node& n = nodes_[idx];
+    std::size_t slot = mix3(n.var, n.low, n.high) & table_mask_;
+    while (table_[slot] != idx) {
+      SCOUT_CHECK(table_[slot] != 0,
+                  "BddManager: rollback found no unique-table slot for node "
+                      << idx);
+      slot = (slot + 1) & table_mask_;
+    }
+    table_[slot] = 0;
+  }
+}
+
 void BddManager::bump_generation() {
   if (++generation_ == 0) {
     // Wrapped: stale entries could alias stamp 0; wipe them once. The
@@ -122,8 +144,14 @@ void BddManager::rollback(Checkpoint cp) {
     throw std::invalid_argument{"BddManager::rollback: bad checkpoint"};
   }
   if (cp.nodes == nodes_.size()) return;  // nothing was built above it
-  nodes_.resize(cp.nodes);
-  rebuild_table();
+  // Both paths leave the same table; pick the one that touches less.
+  if (nodes_.size() - cp.nodes < cp.nodes) {
+    unwind_table(cp.nodes);
+    nodes_.resize(cp.nodes);
+  } else {
+    nodes_.resize(cp.nodes);
+    rebuild_table();
+  }
   // Op-cache entries may reference truncated nodes: bump the generation.
   // Entries referencing only nodes below the watermark survive one
   // generation via the max_node tag (revalidated and re-stamped on hit),
@@ -305,24 +333,57 @@ bool BddManager::evaluate(BddRef f,
   return f == kBddTrue;
 }
 
-void BddManager::ensure_query_scratch() const {
-  if (visit_stamp_.size() < nodes_.size() * 2) {
-    visit_stamp_.resize(nodes_.size() * 2, 0);
-  }
-  if (sat_stamp_.size() < nodes_.size() * 2) {
-    sat_stamp_.resize(nodes_.size() * 2, 0);
-    sat_memo_.resize(nodes_.size() * 2, 0.0);
+BddManager::QueryScratch::QueryScratch()
+    : slots_(std::size_t{1} << kScratchBits), shift_(32 - kScratchBits) {}
+
+void BddManager::QueryScratch::begin() {
+  live_ = 0;
+  if (++epoch_ == 0) {
+    // Wrapped: stale stamps could alias epoch 0; reset them once.
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    epoch_ = 1;
   }
 }
 
-std::uint32_t BddManager::next_query_epoch() const {
-  if (++query_epoch_ == 0) {
-    // Wrapped: stale stamps could alias epoch 0; reset them once.
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0U);
-    std::fill(sat_stamp_.begin(), sat_stamp_.end(), 0U);
-    query_epoch_ = 1;
+std::size_t BddManager::QueryScratch::home(BddRef r) const noexcept {
+  // Fibonacci hashing: a query visits runs of nearby refs, and the
+  // multiplicative spread keeps those runs from clustering.
+  return static_cast<std::uint32_t>(r * 0x9E3779B1U) >> shift_;
+}
+
+bool BddManager::QueryScratch::insert(BddRef r, double value) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(r);
+  while (slots_[i].stamp == epoch_) {
+    if (slots_[i].key == r) return false;
+    i = (i + 1) & mask;
   }
-  return query_epoch_;
+  slots_[i] = Slot{r, epoch_, value};
+  if (++live_ * 2 > slots_.size()) grow();
+  return true;
+}
+
+const double* BddManager::QueryScratch::find(BddRef r) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(r);
+  while (slots_[i].stamp == epoch_) {
+    if (slots_[i].key == r) return &slots_[i].value;
+    i = (i + 1) & mask;
+  }
+  return nullptr;
+}
+
+void BddManager::QueryScratch::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.stamp != epoch_) continue;
+    std::size_t i = home(s.key);
+    while (slots_[i].stamp == epoch_) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 bool BddManager::intersects_cube(BddRef f, const BddCube& partial) const {
@@ -337,12 +398,11 @@ bool BddManager::intersects_cube(BddRef f, const BddCube& partial) const {
     }
   }
   for (const auto& lit : partial) phase_[lit.var] = lit.positive ? 1 : 0;
-  ensure_query_scratch();
-  const std::uint32_t epoch = next_query_epoch();
+  scratch_.begin();
 
-  // DFS with a timestamped visited array keyed by (node, complement): a
-  // ref that failed once under this cube always fails (the cube fixes the
-  // same branch every time we reach it).
+  // DFS with a visited set keyed by ref (node, complement): a ref that
+  // failed once under this cube always fails (the cube fixes the same
+  // branch every time we reach it).
   bool found = false;
   walk_stack_.clear();
   walk_stack_.push_back(f);
@@ -353,8 +413,7 @@ bool BddManager::intersects_cube(BddRef f, const BddCube& partial) const {
       found = true;
       break;
     }
-    if (cur == kBddFalse || visit_stamp_[cur] == epoch) continue;
-    visit_stamp_[cur] = epoch;
+    if (cur == kBddFalse || !scratch_.insert(cur)) continue;
     const Node& n = node(cur);
     const BddRef c = cur & 1U;
     const std::int8_t ph = phase_[n.var];
@@ -368,8 +427,7 @@ bool BddManager::intersects_cube(BddRef f, const BddCube& partial) const {
 double BddManager::sat_count(BddRef f) const {
   if (f == kBddFalse) return 0.0;
   if (f == kBddTrue) return powers_[var_count_];
-  ensure_query_scratch();
-  const std::uint32_t epoch = next_query_epoch();
+  scratch_.begin();
 
   // memo[ref] = satisfying assignments of the function at `ref` over
   // variables [var(ref), var_count). Memoized per *ref* — both phases of a
@@ -381,37 +439,40 @@ double BddManager::sat_count(BddRef f) const {
   walk_stack_.push_back(f);
   while (!walk_stack_.empty()) {
     const BddRef cur = walk_stack_.back();
-    if (sat_stamp_[cur] == epoch) {
+    if (scratch_.find(cur) != nullptr) {
       walk_stack_.pop_back();
       continue;
     }
     const Node& n = node(cur);
     const BddRef lo = n.low ^ (cur & 1U);   // cofactors under complement
     const BddRef hi = n.high ^ (cur & 1U);
+    const double* lo_memo = is_terminal(lo) ? nullptr : scratch_.find(lo);
+    const double* hi_memo = is_terminal(hi) ? nullptr : scratch_.find(hi);
     bool ready = true;
-    if (!is_terminal(lo) && sat_stamp_[lo] != epoch) {
+    if (!is_terminal(lo) && lo_memo == nullptr) {
       walk_stack_.push_back(lo);
       ready = false;
     }
-    if (!is_terminal(hi) && sat_stamp_[hi] != epoch) {
+    if (!is_terminal(hi) && hi_memo == nullptr) {
       walk_stack_.push_back(hi);
       ready = false;
     }
     if (!ready) continue;
     walk_stack_.pop_back();
-    const auto edge = [&](BddRef r) -> double {
+    const auto edge = [&](BddRef r, const double* memo) -> double {
       // Count of r over variables [n.var + 1, var_count).
       if (is_terminal(r)) {
         return r == kBddTrue ? powers_[var_count_ - n.var - 1] : 0.0;
       }
       const std::uint32_t cv = node(r).var;
-      return sat_memo_[r] * powers_[cv - n.var - 1];
+      return *memo * powers_[cv - n.var - 1];
     };
-    sat_memo_[cur] = edge(lo) + edge(hi);
-    sat_stamp_[cur] = epoch;
+    // Both memos are read before the insert, which may move the slots.
+    (void)scratch_.insert(cur, edge(lo, lo_memo) + edge(hi, hi_memo));
   }
 
-  return sat_memo_[f] * powers_[node(f).var];  // vars above the root are free
+  // Vars above the root are free.
+  return *scratch_.find(f) * powers_[node(f).var];
 }
 
 std::vector<std::int8_t> BddManager::any_sat(BddRef f) const {
@@ -434,27 +495,35 @@ std::vector<std::int8_t> BddManager::any_sat(BddRef f) const {
 }
 
 std::size_t BddManager::dag_size(BddRef f) const {
-  ensure_query_scratch();
-  const std::uint32_t epoch = next_query_epoch();
-  // Visited per node index (stamped at slot idx*2; complement ignored).
+  scratch_.begin();
+  // Visited per node: keyed by the regular ref, complement ignored.
   std::size_t count = 0;
   walk_stack_.clear();
-  walk_stack_.push_back(index_of(f));
+  walk_stack_.push_back(f & ~1U);
   while (!walk_stack_.empty()) {
-    const std::uint32_t idx = walk_stack_.back();
+    const BddRef cur = walk_stack_.back();
     walk_stack_.pop_back();
-    if (visit_stamp_[idx * 2] == epoch) continue;
-    visit_stamp_[idx * 2] = epoch;
+    if (!scratch_.insert(cur)) continue;
     ++count;
-    if (idx == 0) continue;
-    walk_stack_.push_back(index_of(nodes_[idx].low));
-    walk_stack_.push_back(index_of(nodes_[idx].high));
+    if (is_terminal(cur)) continue;
+    const Node& n = node(cur);
+    walk_stack_.push_back(n.low);  // stored regular
+    walk_stack_.push_back(n.high & ~1U);
   }
   return count;
 }
 
 bool BddManager::check_invariants() const {
   if (nodes_.empty() || nodes_[0].var != kTermVar) return false;
+  // The table holds live nodes only: a slot a rollback failed to clear
+  // would point at or past the pool top.
+  std::size_t occupied = 0;
+  for (const std::uint32_t idx : table_) {
+    if (idx == 0) continue;
+    if (idx >= nodes_.size()) return false;
+    ++occupied;
+  }
+  if (occupied != nodes_.size() - 1) return false;
   std::size_t in_table = 0;
   for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
     const Node& n = nodes_[idx];
@@ -500,6 +569,7 @@ BddManager::Stats BddManager::stats() const noexcept {
   s.cache_hits = cache_hits_;
   s.rollbacks = rollbacks_;
   s.rollback_floor = last_floor_;
+  s.scratch_capacity = scratch_.capacity();
   return s;
 }
 

@@ -17,7 +17,10 @@
 //  * The unique table is a flat open-addressing array (linear probing,
 //    power-of-two capacity) over a contiguous node pool — no per-node heap
 //    allocation, no std::unordered_map. The table stores node indices; it
-//    grows with the pool and rebuilds in one pass.
+//    grows with the pool and rebuilds in one pass. Nodes are only ever
+//    appended, and slots are only ever cleared newest node first, so the
+//    table always equals the in-order insertion of nodes 1..n — the
+//    property rollback's unwind rests on.
 //  * One lossy direct-mapped operation cache serves every boolean operation:
 //    AND/OR/XOR are normalized into ITE standard triples (terminal rules,
 //    commutative argument ordering, complement canonicalization), so a
@@ -28,13 +31,22 @@
 //    servable (see CacheEntry), so the resident-logical-BDD workload keeps
 //    its sub-watermark operation results across per-check rollbacks.
 //  * checkpoint()/rollback(): the node pool is an arena. A checkpoint is a
-//    pool watermark; rollback truncates the pool to it, rebuilds the unique
-//    table and invalidates the op cache. The checker keeps the per-switch
-//    logical BDDs resident below the watermark and builds each cell's
-//    T-BDD above it (see checker/logical_bdd_cache.h).
-//  * Queries (intersects_cube, sat_count, evaluate) reuse manager-owned
-//    timestamped scratch instead of allocating per call; foreach_cube takes
-//    a template callback, so the hot enumeration path has no std::function
+//    pool watermark; rollback truncates the pool to it, restores the unique
+//    table and invalidates the op cache. A rollback that drops fewer nodes
+//    than it keeps unwinds the table instead of rebuilding it: it clears
+//    the dropped nodes' slots newest first, which by the in-order
+//    property above leaves the table slot-for-slot what a rebuild would
+//    produce, so a per-verdict rollback costs what the verdict built, not
+//    what the arena holds. Bulk truncations (most of the pool dropped)
+//    rebuild in one pass. The checker keeps the per-switch logical BDDs
+//    resident below the watermark and builds each cell's T-BDD above it
+//    (see checker/logical_bdd_cache.h).
+//  * Queries (intersects_cube, sat_count, dag_size) share one
+//    manager-owned scratch map keyed by ref: flat open addressing, each
+//    query starts by bumping an epoch stamp (O(1), nothing cleared), and
+//    the map doubles at half load, so its size follows the largest query's
+//    visited set rather than the pool. foreach_cube takes a template
+//    callback, so the hot enumeration path has no std::function
 //    indirection. A manager is single-threaded (the runtime gives each
 //    worker its own); queries mutate scratch and are not reentrant.
 //  * Variables are identified by index 0..var_count-1 with a fixed global
@@ -110,13 +122,19 @@ class BddManager {
 
   // -- checkpoint/rollback ---------------------------------------------------
   // A checkpoint is a node-pool watermark. rollback(cp) truncates the pool
-  // to it and rebuilds the unique table; every BddRef handed out at or
-  // above the watermark is dead afterwards, every ref below stays valid
-  // (the arena contract the logical-BDD cache rests on). Op-cache entries
-  // referencing only sub-watermark nodes survive the rollback; the rest
-  // are invalidated. Rolling back to the current watermark is a no-op.
-  // With SCOUT_BDD_PARANOID=1 in the environment every rollback re-runs
-  // check_invariants() and aborts on violation (O(nodes) — debugging aid).
+  // to it and restores the unique table to exactly the state inserting the
+  // kept nodes would give: when fewer nodes are dropped than kept it
+  // clears the dropped nodes' slots newest first (O(dropped)), otherwise it
+  // rebuilds the table in one pass (O(table)). The table keeps its
+  // capacity either way. Every BddRef handed out at or above the watermark
+  // is dead afterwards, every ref below stays valid (the arena contract
+  // the logical-BDD cache rests on). Op-cache entries referencing only
+  // sub-watermark nodes survive the rollback; the rest are invalidated.
+  // Rolling back to the current watermark is a no-op. A dropped node the
+  // unwind cannot find in the table is a fatal SCOUT_CHECK. With
+  // SCOUT_BDD_PARANOID=1 in the environment every rollback re-runs
+  // check_invariants() and aborts on violation (O(nodes + table) —
+  // debugging aid).
   struct Checkpoint {
     std::uint32_t nodes = 0;
   };
@@ -142,7 +160,7 @@ class BddManager {
 
   // Does f have a satisfying assignment consistent with `partial`?
   // `partial` maps var -> phase for a subset of variables (a cube).
-  // Uses manager-owned timestamped scratch: no per-call allocation.
+  // Uses the manager-owned query scratch: no per-call allocation.
   [[nodiscard]] bool intersects_cube(BddRef f, const BddCube& partial) const;
 
   // Number of satisfying assignments over the full variable set (double:
@@ -174,7 +192,8 @@ class BddManager {
 
   // Structural self-check (tests): every stored node has a regular low
   // edge, distinct children, strictly increasing variable order toward the
-  // leaves, and exactly one unique-table entry. O(nodes).
+  // leaves, and exactly one unique-table entry, and the table holds no
+  // other entries. O(nodes + table).
   [[nodiscard]] bool check_invariants() const;
 
   // Engine counters for benches/CI: unique-table load factor, op-cache hit
@@ -190,6 +209,7 @@ class BddManager {
     std::uint64_t cache_hits = 0;
     std::uint64_t rollbacks = 0;
     std::size_t rollback_floor = 0;  // watermark of the most recent rollback
+    std::size_t scratch_capacity = 0;  // query scratch map slots
 
     [[nodiscard]] double cache_hit_rate() const noexcept {
       return cache_lookups == 0
@@ -239,14 +259,46 @@ class BddManager {
     return nodes_[index_of(r)];
   }
 
+  // Per-query scratch: an open-addressing map from BddRef to a double
+  // (sat_count's memo; intersects_cube and dag_size use it as a visited
+  // set). begin() bumps the epoch, and a slot stamped with an older epoch
+  // reads as empty, so starting a query clears nothing. The map doubles
+  // when half full, so its size tracks the largest visited set.
+  class QueryScratch {
+   public:
+    QueryScratch();
+    void begin();
+    // Adds `r` with `value`; false (map unchanged) if `r` is already in.
+    bool insert(BddRef r, double value = 0.0);
+    // The value stored for `r` in this query, or nullptr. Invalidated by
+    // the next insert.
+    [[nodiscard]] const double* find(BddRef r) const noexcept;
+    [[nodiscard]] std::size_t capacity() const noexcept {
+      return slots_.size();
+    }
+
+   private:
+    struct Slot {
+      BddRef key = 0;
+      std::uint32_t stamp = 0;  // live iff == epoch_
+      double value = 0.0;
+    };
+    [[nodiscard]] std::size_t home(BddRef r) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::uint32_t shift_ = 0;  // 32 - log2(capacity): Fibonacci hashing
+    std::uint32_t epoch_ = 0;
+    std::size_t live_ = 0;     // slots stamped with epoch_
+  };
+
   [[nodiscard]] BddRef make_node(std::uint32_t var, BddRef low, BddRef high);
   // low must be regular and low != high.
   [[nodiscard]] BddRef hash_cons(std::uint32_t var, BddRef low, BddRef high);
   void grow_table();
   void rebuild_table();
+  void unwind_table(std::uint32_t floor);
   void bump_generation();
-  void ensure_query_scratch() const;
-  [[nodiscard]] std::uint32_t next_query_epoch() const;
 
   template <typename Callback>
   bool foreach_cube_rec(BddRef f, std::vector<std::int8_t>& assignment,
@@ -281,13 +333,10 @@ class BddManager {
   std::uint32_t last_floor_ = 0;      // watermark of the most recent rollback
   std::vector<double> powers_;        // powers_[i] = 2^i, i in [0, var_count]
 
-  // Timestamped query scratch (grown lazily, shared across calls).
-  mutable std::vector<std::int8_t> phase_;          // per variable
-  mutable std::vector<std::uint32_t> visit_stamp_;  // per ref (2 per node)
-  mutable std::vector<std::uint32_t> sat_stamp_;    // per node
-  mutable std::vector<double> sat_memo_;            // per node
+  // Query scratch, shared across calls.
+  mutable std::vector<std::int8_t> phase_;  // per variable
+  mutable QueryScratch scratch_;
   mutable std::vector<BddRef> walk_stack_;
-  mutable std::uint32_t query_epoch_ = 0;
 
   std::uint64_t unique_inserts_ = 0;
   std::uint64_t cache_lookups_ = 0;

@@ -144,9 +144,6 @@ CheckResult bdd_rule_diff(BddManager& mgr, BddRef l_bdd, BddRef t_bdd,
                           std::span<const LogicalRule> logical,
                           std::span<const TcamRule> deployed) {
   CheckResult result;
-  result.l_dag_size = mgr.dag_size(l_bdd);
-  result.t_dag_size = mgr.dag_size(t_bdd);
-
   if (mgr.equivalent(l_bdd, t_bdd)) {
     result.equivalent = true;
     return result;
@@ -190,8 +187,6 @@ void CheckResult::absorb(CheckResult&& other) {
                      std::make_move_iterator(other.extra_rules.end()));
   extra_packet_count += other.extra_packet_count;
   missing_packet_count += other.missing_packet_count;
-  l_dag_size = std::max(l_dag_size, other.l_dag_size);
-  t_dag_size = std::max(t_dag_size, other.t_dag_size);
 }
 
 bool EquivalenceChecker::syntactically_identical(

@@ -46,20 +46,18 @@ struct CheckResult {
   // Packets allowed by T but not by L / by L but not by T.
   double extra_packet_count = 0.0;
   double missing_packet_count = 0.0;
-  // Introspection for the microbenches.
-  std::size_t l_dag_size = 0;
-  std::size_t t_dag_size = 0;
 
   // Fold one switch's outcome into this fabric-level accumulator:
   // concatenates missing/extra, sums the packet counts, and stays
-  // equivalent only if every absorbed result was. DAG sizes are per-check
-  // introspection and meaningless summed; absorb keeps the largest seen.
+  // equivalent only if every absorbed result was.
   void absorb(CheckResult&& other);
 };
 
 // Missing/extra-rule diff over *already built* L and T BDDs in `mgr`:
 // equivalence is a reference comparison, the spaces L∧¬T / T∧¬L are one
 // apply each, and each candidate rule is classified by cube intersection.
+// Nothing walks L or T whole: the queries visit only the diff spaces, so
+// the cost follows how far T strays from L, not how large either is.
 // Shared by the batch checker (which builds T per check) and the stream
 // monitor's IncrementalChecker (which keeps both BDDs resident and updates
 // T per event). Allocates diff nodes in `mgr` above the current top — the

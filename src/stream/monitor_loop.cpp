@@ -481,15 +481,16 @@ LocalizationResult MonitorLoop::localize_impl(const FabricCheck& check) const {
   telemetry::TraceRecorder::Scope span{options_.trace, 0, "localize",
                                        "stream", net_->clock().now()};
   const std::uint64_t epoch = net_->controller().compiled_epoch();
-  if (policy_index_ == nullptr || policy_index_epoch_ != epoch) {
-    policy_index_ =
-        std::make_unique<PolicyIndex>(net_->controller().policy());
-    policy_index_epoch_ = epoch;
+  if (!risk_model_.has_value() || risk_model_epoch_ != epoch) {
+    risk_model_ = RiskModel::build_controller_model(
+        PolicyIndex{net_->controller().policy()});
+    risk_model_epoch_ = epoch;
+  } else {
+    risk_model_->clear_failures();
   }
-  RiskModel model = RiskModel::build_controller_model(*policy_index_);
-  model.augment(check.missing_rules);
+  risk_model_->augment(check.missing_rules);
   const ScoutLocalizer localizer{options_.localizer};
-  return localizer.localize(model, net_->controller().change_log(),
+  return localizer.localize(*risk_model_, net_->controller().change_log(),
                             net_->clock().now());
 }
 

@@ -31,10 +31,13 @@
 //
 // Confirmed suspects hand off to the existing localization pipeline via
 // localize(): controller risk model, augmented with the verdict's missing
-// rules, through ScoutLocalizer (change-log stage 2 included).
+// rules, through ScoutLocalizer (change-log stage 2 included). The model
+// is a function of the compiled policy alone, so it is built once per
+// compiled epoch and each call only swaps its failure marks.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -49,10 +52,6 @@
 #include "src/stream/incremental_checker.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
-
-namespace scout {
-class PolicyIndex;
-}  // namespace scout
 
 namespace scout::telemetry {
 class FlightRecorder;
@@ -128,7 +127,7 @@ class MonitorLoop {
   [[nodiscard]] MonitorVerdict drain();
 
   // Hand the verdict's confirmed suspects to SCOUT localization over the
-  // controller risk model (policy index cached per compiled epoch).
+  // controller risk model (cached per compiled epoch).
   [[nodiscard]] LocalizationResult localize(const FabricCheck& check) const;
 
   // Stopgap remediation of a verdict: reinstall the missing rules through
@@ -270,10 +269,10 @@ class MonitorLoop {
   std::vector<telemetry::MetricsSnapshot> periodic_snapshots_
       SCOUT_GUARDED_BY(serial_);
 
-  // localize() cache
-  mutable std::unique_ptr<PolicyIndex> policy_index_
-      SCOUT_GUARDED_BY(serial_);
-  mutable std::uint64_t policy_index_epoch_ SCOUT_GUARDED_BY(serial_) = 0;
+  // localize() cache: the controller risk model of compiled epoch
+  // risk_model_epoch_, its failure marks from the latest call.
+  mutable std::optional<RiskModel> risk_model_ SCOUT_GUARDED_BY(serial_);
+  mutable std::uint64_t risk_model_epoch_ SCOUT_GUARDED_BY(serial_) = 0;
 };
 
 }  // namespace scout::stream

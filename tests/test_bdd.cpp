@@ -5,6 +5,7 @@
 #include <bitset>
 #include <cmath>
 
+#include "src/checker/packet_encoding.h"
 #include "src/common/rng.h"
 
 namespace scout {
@@ -464,6 +465,219 @@ TEST_P(BddRollbackRoundTrip, ReplayAfterRollbackIsIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRollbackRoundTrip,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// One seeded op over `stack` (pushed onto it): the same Rng state over the
+// same arena always builds the same ref.
+void seeded_op(BddManager& mgr, Rng& rng, std::vector<BddRef>& stack) {
+  const BddRef a = stack[rng.below(stack.size())];
+  const BddRef b = stack[rng.below(stack.size())];
+  stack.push_back(rng.chance(0.5) ? mgr.apply_and(a, b)
+                                  : mgr.apply_xor(a, b));
+}
+
+std::vector<BddRef> seeded_ops(BddManager& mgr, std::uint64_t seed,
+                               std::vector<BddRef> stack, int steps) {
+  Rng rng{seed};
+  for (int step = 0; step < steps; ++step) seeded_op(mgr, rng, stack);
+  return stack;
+}
+
+// What every rollback must leave, whichever path it takes: the pool at the
+// watermark, a unique table that holds exactly the kept nodes at unchanged
+// capacity, and an arena in which replaying the ops that built `built`
+// over `base` hands out the very same refs.
+void expect_clean_rollback(BddManager& mgr, BddManager::Checkpoint cp,
+                           const std::vector<BddRef>& base,
+                           std::uint64_t seed, int steps,
+                           const std::vector<BddRef>& built) {
+  const std::size_t capacity = mgr.stats().unique_capacity;
+  mgr.rollback(cp);
+  EXPECT_EQ(mgr.node_count(), cp.nodes);
+  EXPECT_TRUE(mgr.check_invariants());
+  EXPECT_EQ(mgr.stats().unique_capacity, capacity);
+  EXPECT_EQ(seeded_ops(mgr, seed, base, steps), built);
+  EXPECT_TRUE(mgr.check_invariants());
+}
+
+TEST(Bdd, RollbackUnwindsSmallScratchAboveLargeResident) {
+  BddManager mgr{12};
+  Rng rng{7};
+  const std::vector<BddRef> base = random_formula_stack(mgr, rng, 12, 1500);
+  const auto cp = mgr.checkpoint();
+  const std::vector<BddRef> built = seeded_ops(mgr, 11, base, 20);
+  const std::size_t dropped = mgr.node_count() - cp.nodes;
+  ASSERT_GT(dropped, 0u);
+  ASSERT_LT(dropped, cp.nodes);  // fewer dropped than kept: the unwind
+  expect_clean_rollback(mgr, cp, base, 11, 20, built);
+}
+
+TEST(Bdd, RollbackNearTheBottomRebuilds) {
+  BddManager mgr{12};
+  Rng rng{8};
+  const std::vector<BddRef> base = random_formula_stack(mgr, rng, 12, 0);
+  const auto cp = mgr.checkpoint();
+  const std::vector<BddRef> built = seeded_ops(mgr, 12, base, 400);
+  ASSERT_GE(mgr.node_count() - cp.nodes, cp.nodes);  // the rebuild
+  expect_clean_rollback(mgr, cp, base, 12, 400, built);
+}
+
+TEST(Bdd, RollbackUnwindsAcrossTableGrowth) {
+  // Fill the table to just under its growth threshold, checkpoint, and
+  // build until the table doubles: the unwind then clears slots the
+  // growth rehash placed, not the ones the nodes were first inserted into.
+  BddManager mgr{12};
+  Rng rng{9};
+  std::vector<BddRef> base = random_formula_stack(mgr, rng, 12, 0);
+  while (mgr.node_count() < 2000 ||
+         (mgr.node_count() + 64) * 4 < mgr.stats().unique_capacity * 3) {
+    seeded_op(mgr, rng, base);
+  }
+  const auto cp = mgr.checkpoint();
+  const std::size_t capacity_at_cp = mgr.stats().unique_capacity;
+  Rng op_rng{13};
+  std::vector<BddRef> built = base;
+  int steps = 0;
+  while (mgr.stats().unique_capacity == capacity_at_cp) {
+    seeded_op(mgr, op_rng, built);
+    ++steps;
+  }
+  ASSERT_GT(mgr.stats().unique_capacity, capacity_at_cp);
+  ASSERT_LT(mgr.node_count() - cp.nodes, cp.nodes);  // still the unwind
+  expect_clean_rollback(mgr, cp, base, 13, steps, built);
+}
+
+TEST(Bdd, NestedRollbacksInnerThenOuter) {
+  BddManager mgr{12};
+  Rng rng{10};
+  const std::vector<BddRef> base = random_formula_stack(mgr, rng, 12, 1000);
+  const auto outer = mgr.checkpoint();
+  const std::vector<BddRef> middle = seeded_ops(mgr, 21, base, 30);
+  const auto inner = mgr.checkpoint();
+  const std::vector<BddRef> top = seeded_ops(mgr, 22, middle, 30);
+  ASSERT_GT(mgr.node_count(), inner.nodes);
+  ASSERT_GT(inner.nodes, outer.nodes);
+  expect_clean_rollback(mgr, inner, middle, 22, 30, top);
+  expect_clean_rollback(mgr, outer, base, 21, 30, middle);
+}
+
+// --- query scratch ---------------------------------------------------------
+
+// Policy-shaped rules: exact VRF and protocol, source/destination EPGs and
+// ports exact or wildcarded, about one in ten a deny. Every path of their
+// BDD fixes VRF and protocol, so path weights and all their sums are
+// integers below 2^53: the counts below compare exactly.
+std::vector<TcamRule> policy_shaped_rules(std::uint64_t seed, std::size_t n) {
+  Rng rng{seed};
+  std::vector<TcamRule> rules;
+  rules.reserve(n);
+  const auto epg = [&rng] {
+    return rng.chance(0.1) ? TernaryField::wildcard()
+                           : TernaryField::exact(
+                                 static_cast<std::uint32_t>(rng.below(48)),
+                                 FieldWidths::kEpg);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    TcamRule r;
+    r.priority = static_cast<std::uint32_t>(i);
+    r.vrf = TernaryField::exact(static_cast<std::uint32_t>(rng.below(2)),
+                                FieldWidths::kVrf);
+    r.src_epg = epg();
+    r.dst_epg = epg();
+    r.proto = TernaryField::exact(rng.chance(0.5) ? 6 : 17,
+                                  FieldWidths::kProto);
+    r.dst_port = rng.chance(0.3)
+                     ? TernaryField::wildcard()
+                     : TernaryField::exact(
+                           static_cast<std::uint32_t>(rng.below(1024)),
+                           FieldWidths::kPort);
+    r.action = rng.chance(0.9) ? RuleAction::kAllow : RuleAction::kDeny;
+    rules.push_back(r);
+  }
+  return rules;
+}
+
+std::vector<TcamRule> drop_some(const std::vector<TcamRule>& rules,
+                                std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<TcamRule> kept;
+  for (const TcamRule& r : rules) {
+    if (!rng.chance(0.15)) kept.push_back(r);
+  }
+  return kept;
+}
+
+double sum_over_paths(const BddManager& mgr, BddRef f) {
+  double total = 0.0;
+  (void)mgr.foreach_cube(f, [&](std::span<const std::int8_t> path) {
+    double weight = 1.0;
+    for (const std::int8_t v : path) {
+      if (v == -1) weight *= 2.0;
+    }
+    total += weight;
+    return true;
+  });
+  return total;
+}
+
+// sat_count against an independent count, and intersects_cube against the
+// conjunction it short-cuts, for every rule cube; the conjunctions are
+// built above a checkpoint and rolled back.
+void expect_queries_agree(BddManager& mgr, BddRef f,
+                          const std::vector<TcamRule>& rules) {
+  EXPECT_EQ(mgr.sat_count(f), sum_over_paths(mgr, f));
+  const auto cp = mgr.checkpoint();
+  BddCube c;
+  std::size_t hits = 0;
+  for (const TcamRule& r : rules) {
+    rule_to_cube_into(c, r);
+    const bool hit = mgr.intersects_cube(f, c);
+    ASSERT_EQ(hit, !mgr.is_false(mgr.apply_and(f, mgr.cube(c))));
+    hits += hit ? 1 : 0;
+  }
+  mgr.rollback(cp);
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(Bdd, QueryScratchFollowsTheQueryAcrossRollbackAndRegrowth) {
+  BddManager mgr{PacketVars::kCount};
+  const std::size_t initial = mgr.stats().scratch_capacity;
+  const std::vector<TcamRule> rules = policy_shaped_rules(77, 600);
+  const BddRef l = ruleset_to_bdd(mgr, rules);
+  ASSERT_GT(mgr.dag_size(l), 8 * initial);
+
+  // The scratch is sized by what a query visits, not by the pool: a query
+  // over one cube leaves it at its starting size.
+  BddManager small{PacketVars::kCount};
+  (void)ruleset_to_bdd(small, rules);
+  const BddRef one = small.cube(rule_to_cube(rules[0]));
+  EXPECT_GT(small.sat_count(one), 0.0);
+  EXPECT_TRUE(small.intersects_cube(one, rule_to_cube(rules[0])));
+  EXPECT_GT(small.node_count(), 8 * initial);
+  EXPECT_EQ(small.stats().scratch_capacity, initial);
+
+  // A T-BDD and the missing space L ∧ ¬T above a checkpoint, queried
+  // before the rollback...
+  const auto cp = mgr.checkpoint();
+  const BddRef t = ruleset_to_bdd(mgr, drop_some(rules, 1));
+  const BddRef missing = mgr.apply_diff(l, t);
+  ASSERT_FALSE(mgr.is_false(missing));
+  expect_queries_agree(mgr, l, rules);
+  expect_queries_agree(mgr, missing, rules);
+  expect_queries_agree(mgr, mgr.negate(missing), rules);
+  EXPECT_GT(mgr.stats().scratch_capacity, initial);
+
+  // ...and after it, once a different T has regrown over the same node
+  // indices: a ref the scratch saw before now names another node.
+  mgr.rollback(cp);
+  const BddRef t2 = ruleset_to_bdd(mgr, drop_some(rules, 2));
+  const BddRef missing2 = mgr.apply_diff(l, t2);
+  ASSERT_FALSE(mgr.is_false(missing2));
+  ASSERT_NE(missing2, missing);
+  expect_queries_agree(mgr, l, rules);
+  expect_queries_agree(mgr, missing2, rules);
+  expect_queries_agree(mgr, mgr.negate(missing2), rules);
+  EXPECT_TRUE(mgr.check_invariants());
+}
 
 TEST(Bdd, IteMatchesExpandedForm) {
   Rng rng{5};

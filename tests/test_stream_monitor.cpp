@@ -291,6 +291,75 @@ TEST(StreamMonitor, MonitorLoopDetectsAndClearsEviction) {
   EXPECT_TRUE(fabric_check_identical(verdict.check, system.check_all(net)));
 }
 
+// localize() keeps one controller risk model per compiled epoch and only
+// swaps its failure marks between calls. Every answer must equal SCOUT's
+// on a model built and augmented for that verdict alone: two different
+// failing verdicts in one epoch (stale marks would leak from the first
+// into the second), then one after a filter push recompiles the policy
+// (a stale model would lack the new filter).
+TEST(StreamMonitor, CachedRiskModelLocalizesLikeAFreshOne) {
+  ThreeTierNetwork three = make_three_tier();
+  SimNetwork net{std::move(three.fabric), std::move(three.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  runtime::SerialExecutor executor;
+  stream::MonitorLoop monitor{net, bus, executor};
+  monitor.prime();
+
+  const auto expect_fresh_answer = [&](const FabricCheck& check) {
+    RiskModel model = RiskModel::build_controller_model(
+        PolicyIndex{net.controller().policy()});
+    model.augment(check.missing_rules);
+    const LocalizationResult want = ScoutLocalizer{}.localize(
+        model, net.controller().change_log(), net.clock().now());
+    const LocalizationResult got = monitor.localize(check);
+    EXPECT_EQ(got.hypothesis, want.hypothesis);
+    EXPECT_EQ(got.observations_total, want.observations_total);
+    EXPECT_EQ(got.observations_explained, want.observations_explained);
+    EXPECT_EQ(got.stage2_objects, want.stage2_objects);
+    EXPECT_EQ(got.iterations, want.iterations);
+    return got;
+  };
+
+  ASSERT_GT(net.agent(three.s2).evict_rules(64, net.clock().now()), 0u);
+  const stream::MonitorVerdict first = monitor.drain();
+  ASSERT_FALSE(first.check.inconsistent.empty());
+  const LocalizationResult first_loc = expect_fresh_answer(first.check);
+
+  (void)net.controller().resync_switch(three.s2);
+  ASSERT_GT(net.agent(three.s3).evict_rules(64, net.clock().now()), 0u);
+  const stream::MonitorVerdict second = monitor.drain();
+  ASSERT_EQ(second.check.inconsistent, std::vector<SwitchId>{three.s3});
+  const LocalizationResult second_loc = expect_fresh_answer(second.check);
+  EXPECT_NE(second_loc.hypothesis, first_loc.hypothesis);
+
+  // Push a new filter (recompile: epoch bump), then take exactly its rules
+  // out of both switches it landed on.
+  (void)net.controller().resync_switch(three.s3);
+  const std::uint64_t epoch = net.controller().compiled_epoch();
+  const FilterId port443 = net.controller().deploy_new_filter(
+      "port443", {FilterEntry::allow_tcp(443)}, three.app_db);
+  ASSERT_GT(net.controller().compiled_epoch(), epoch);
+  std::size_t removed = 0;
+  for (const auto& [sw, rules] : net.controller().compiled().per_switch) {
+    for (const LogicalRule& lr : rules) {
+      if (lr.prov.filter != port443) continue;
+      ASSERT_EQ(net.agent(sw).apply(
+                    Instruction{InstructionOp::kRemoveRule, lr},
+                    net.clock().now()),
+                ApplyStatus::kApplied);
+      ++removed;
+    }
+  }
+  ASSERT_GT(removed, 0u);
+  const stream::MonitorVerdict third = monitor.drain();
+  ASSERT_FALSE(third.check.inconsistent.empty());
+  const LocalizationResult third_loc = expect_fresh_answer(third.check);
+  EXPECT_TRUE(third_loc.contains(ObjectRef::of(port443)));
+}
+
 // An out-of-shape delta (a non-catch-all deny installed into the TCAM)
 // must fall back to a full T rebuild — and still be verdict-exact.
 TEST(StreamMonitor, UnsafeDeltaFallsBackToRebuildExactly) {
