@@ -18,8 +18,9 @@
 //   monitor        continuous verification: churn a fabric and verify the
 //                  event stream incrementally (src/stream); --full flips
 //                  to the re-check-everything baseline; --telemetry FILE
-//                  writes a Chrome trace (with an embedded metrics
-//                  snapshot) viewable in chrome://tracing or Perfetto;
+//                  turns on the flight recorder and writes its spans as a
+//                  Chrome trace (with an embedded metrics snapshot)
+//                  viewable in chrome://tracing or Perfetto;
 //                  --gray-rate arms gray rendering faults on every agent,
 //                  --storm fires correlated episodes (rack-power,
 //                  rolling-upgrade, pod-brownout), --evict-policy swaps
@@ -29,7 +30,10 @@
 //                  on incident provenance (cause-stamped fault episodes
 //                  correlated with failing verdicts) and writes the
 //                  incident log as JSON; --flight-recorder FILE arms the
-//                  in-memory flight recorder and writes its ring dump
+//                  in-memory flight recorder and writes its ring dump —
+//                  the same ring --telemetry exports, so both files hold
+//                  the last entries of each lane (lane 0 the driver, lane
+//                  s+1 checker shard s)
 //   stats          run the monitor scenario and dump the full telemetry
 //                  snapshot (Prometheus text format, or JSON with --json);
 //                  includes the health/SLO engine's health.* gauges
@@ -101,13 +105,12 @@ MonitoringReport run_monitor_scenario(std::uint64_t seed, std::size_t events,
   options.seed = seed;
   options.incremental = !full;
   options.remediate_final = remediate;
-  options.collect_trace = want_trace;
   if (want_trace) options.snapshot_every_batches = 8;
   options.gray_rate = faults.gray_rate;
   options.storm = faults.storm;
   options.evict_policy = faults.evict_policy;
   options.collect_incidents = !obs.incidents_path.empty();
-  options.collect_flight = !obs.flight_path.empty();
+  options.collect_flight = want_trace || !obs.flight_path.empty();
   options.flight_dump_path = obs.flight_path;
   options.collect_health = collect_health;
   runtime::SerialExecutor executor;

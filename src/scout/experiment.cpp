@@ -806,7 +806,6 @@ std::unique_ptr<StormSchedule> arm_fault_engines(
 struct MonitoringRig {
   std::unique_ptr<stream::MpscRing> ring;
   std::unique_ptr<telemetry::MetricsRegistry> registry;
-  std::unique_ptr<telemetry::TraceRecorder> trace;
   std::unique_ptr<stream::IncidentBuilder> incidents;
   std::unique_ptr<telemetry::FlightRecorder> flight;
   std::unique_ptr<telemetry::HealthEngine> health;
@@ -818,7 +817,6 @@ struct MonitoringRig {
     mopts.incremental = options.incremental;
     mopts.checker = options.checker;
     mopts.metrics = registry.get();
-    mopts.trace = trace.get();
     mopts.snapshot_every_batches = options.snapshot_every_batches;
     mopts.incidents = incidents.get();
     mopts.flight = flight.get();
@@ -856,18 +854,15 @@ MonitoringRig make_rig(const MonitoringOptions& options, SimNetwork& net,
   if (options.collect_telemetry) {
     rig.registry =
         std::make_unique<telemetry::MetricsRegistry>(executor.workers());
-    if (options.collect_trace) {
-      rig.trace = std::make_unique<telemetry::TraceRecorder>(
-          executor.workers() + 1);
-    }
   }
   if (ledger != nullptr) {
     rig.incidents =
         std::make_unique<stream::IncidentBuilder>(ledger, rig.registry.get());
   }
   if (options.collect_flight) {
+    // Lane 0 for the driver, one per checker shard (MonitorLoop checks).
     rig.flight = std::make_unique<telemetry::FlightRecorder>(
-        telemetry::FlightRecorder::Options{});
+        telemetry::FlightRecorder::Options{.lanes = executor.workers() + 1});
   }
   if (options.collect_health) {
     rig.health = std::make_unique<telemetry::HealthEngine>(
@@ -1021,17 +1016,6 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
     rig.health->write_json(hw);
     report.health_json = hw.str();
   }
-  if (rig.flight != nullptr) {
-    report.flight_entries = rig.flight->total_recorded();
-    // Final dump: the loop already dumped on clean→failing transitions;
-    // overwriting with the end-of-run state keeps the newest entries and
-    // guarantees the file exists even for runs that never failed.
-    if (!options.flight_dump_path.empty() &&
-        !rig.flight->dump_to_file(options.flight_dump_path.c_str())) {
-      SCOUT_WARN("stream", "failed to write flight dump to "
-                               << options.flight_dump_path);
-    }
-  }
 
   const FabricCheck& last = report.final_check;
   if (options.localize_final && !last.inconsistent.empty()) {
@@ -1047,8 +1031,19 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
     // and the benches export.
     report.telemetry = monitor.snapshot_metrics();
     report.periodic_snapshot_count = monitor.periodic_snapshots().size();
-    if (rig.trace != nullptr) {
-      report.trace_json = rig.trace->to_chrome_json(&report.telemetry);
+  }
+  if (rig.flight != nullptr) {
+    report.flight_entries = rig.flight->total_recorded();
+    report.trace_json = rig.flight->to_chrome_json(
+        rig.registry != nullptr ? &report.telemetry : nullptr);
+    // Final dump: the loop already dumped on clean→failing transitions;
+    // overwriting with the end-of-run state keeps the newest entries (the
+    // final localize/remediate spans included) and guarantees the file
+    // exists even for runs that never failed.
+    if (!options.flight_dump_path.empty() &&
+        !rig.flight->dump_to_file(options.flight_dump_path.c_str())) {
+      SCOUT_WARN("stream", "failed to write flight dump to "
+                               << options.flight_dump_path);
     }
   }
   return report;

@@ -289,8 +289,6 @@ struct MonitoringOptions {
   // fault-engine series; off is the zero-instrumentation baseline the
   // overhead gate in bench/stream_latency.cpp compares against.
   bool collect_telemetry = true;
-  // Also record pipeline trace spans (report.trace_json, Chrome format).
-  bool collect_trace = false;
   // Periodic metrics snapshots every N batches (0 = never).
   std::size_t snapshot_every_batches = 0;
   // Remediate the final verdict (reinstall missing rules + re-check).
@@ -342,8 +340,9 @@ struct MonitoringOptions {
   // the monitor. Observe-only — verdict digests are bit-identical with
   // this on or off (tests/test_incidents.cpp pins it).
   bool collect_incidents = false;
-  // Attach a flight recorder (telemetry/flight_recorder.h) to the monitor
-  // and dump it on every clean→failing verdict transition.
+  // Attach a flight recorder (telemetry/flight_recorder.h) to the monitor:
+  // it holds the monitor's spans (report.trace_json exports them) and is
+  // dumped on every clean→failing verdict transition.
   bool collect_flight = false;
   std::string flight_dump_path;
   // Grade the monitor's cumulative counters against SLO thresholds
@@ -394,7 +393,9 @@ struct MonitoringReport {
   telemetry::MetricsSnapshot telemetry;
   std::size_t periodic_snapshot_count = 0;
   std::uint64_t flight_entries = 0;  // collect_flight: lifetime entries
-  std::string trace_json;            // Chrome trace (collect_trace)
+  // collect_flight: Chrome trace of the ring's surviving entries, with the
+  // telemetry snapshot embedded when collect_telemetry is on.
+  std::string trace_json;
   std::string incident_json;         // scout-incidents-v1 log
   std::string health_json;           // health engine summary
 

@@ -11,7 +11,7 @@
 #include "src/checker/packet_encoding.h"
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/flight_recorder.h"
 
 namespace scout::stream {
 namespace {
@@ -77,7 +77,8 @@ struct IncrementalChecker::SwitchState {
 // Per-shard scratch + counters, padded so concurrent shards never share a
 // cache line through the checker.
 struct alignas(64) IncrementalChecker::Shard {
-  std::size_t index = 0;  // trace lane is index + 1 (lane 0 = driver)
+  std::size_t index = 0;   // flight lane is index + 1 (lane 0 = driver)
+  std::uint64_t batch = 0;  // of the running process_shard(), for markers
   Stats stats;
   BddCube cube_scratch;
   std::vector<TcamRule> strip_scratch;
@@ -89,13 +90,10 @@ struct alignas(64) IncrementalChecker::Shard {
 };
 
 IncrementalChecker::IncrementalChecker(SimNetwork& net,
-                                       std::size_t shard_count)
-    : IncrementalChecker(net, shard_count, Options{}) {}
-
-IncrementalChecker::IncrementalChecker(SimNetwork& net,
                                        std::size_t shard_count,
-                                       Options options)
-    : net_(&net), options_(options) {
+                                       Options options,
+                                       telemetry::FlightRecorder* flight)
+    : net_(&net), options_(options), flight_(flight) {
   const auto agents = net.agents();
   states_.reserve(agents.size());
   index_.reserve(agents.size());
@@ -214,19 +212,18 @@ void IncrementalChecker::rebuild_arena(Shard& shard, SwitchState& st,
   } else {
     ++shard.stats.epoch_rebuilds;
     ++shard.stats.full_rebuilds;
-    note_rebuild(shard, st, "epoch");
+    note_rebuild(shard, st, "full_rebuild.epoch");
   }
 }
 
 void IncrementalChecker::note_rebuild(const Shard& shard,
                                       const SwitchState& st,
-                                      const char* reason) {
-  SCOUT_DEBUG("stream", "full rebuild (" << reason << ") sw=" << st.sw
-                                         << " arena_nodes="
-                                         << st.mgr.node_count());
-  if (trace_ != nullptr) {
-    trace_->instant(shard.index + 1, "full_rebuild", "stream",
-                    net_->clock().now(), reason);
+                                      const char* marker) {
+  SCOUT_DEBUG("stream", marker << " sw=" << st.sw << " arena_nodes="
+                               << st.mgr.node_count());
+  if (flight_ != nullptr) {
+    flight_->instant(shard.index + 1, marker, shard.batch,
+                     net_->clock().now().millis());
   }
 }
 
@@ -423,13 +420,13 @@ void IncrementalChecker::refresh_verdict(Shard& shard, SwitchState& st,
     st.resync_pending = false;
     ++shard.stats.overflow_resyncs;
     ++shard.stats.full_rebuilds;
-    note_rebuild(shard, st, "overflow");
+    note_rebuild(shard, st, "full_rebuild.overflow");
     st.verdict_valid = false;
   } else if (st.t_dirty) {
     rebuild_t(st);
     ++shard.stats.unsafe_rebuilds;
     ++shard.stats.full_rebuilds;
-    note_rebuild(shard, st, "unsafe");
+    note_rebuild(shard, st, "full_rebuild.unsafe");
     st.verdict_valid = false;
   } else if (st.mgr.node_count() >
              static_cast<std::size_t>(
@@ -441,7 +438,7 @@ void IncrementalChecker::refresh_verdict(Shard& shard, SwitchState& st,
     rebuild_t(st);
     ++shard.stats.threshold_trips;
     ++shard.stats.full_rebuilds;
-    note_rebuild(shard, st, "threshold");
+    note_rebuild(shard, st, "full_rebuild.threshold");
   }
   if (st.verdict_valid) {
     ++shard.stats.verdicts_reused;
@@ -461,7 +458,8 @@ void IncrementalChecker::refresh_verdict(Shard& shard, SwitchState& st,
 }
 
 void IncrementalChecker::process_shard(std::size_t shard_index,
-                                       std::uint64_t epoch) {
+                                       std::uint64_t epoch,
+                                       std::uint64_t batch) {
   SCOUT_CHECK(shard_index < shards_.size(),
               "IncrementalChecker: shard " << shard_index << " of "
                   << shards_.size());
@@ -473,6 +471,10 @@ void IncrementalChecker::process_shard(std::size_t shard_index,
     std::atomic<bool>& flag;
     ~InFlightToken() { flag.store(false, std::memory_order_release); }
   } token{shard.in_flight};
+  shard.batch = batch;
+  const telemetry::FlightRecorder::Scope span{
+      flight_, shard.index + 1, "shard", batch,
+      net_->clock().now().millis()};
   for (std::size_t i = shard_index; i < states_.size();
        i += shards_.size()) {
     SwitchState& st = *states_[i];

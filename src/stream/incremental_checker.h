@@ -41,6 +41,11 @@
 // stable agent-order index; one worker processes one shard, so arenas stay
 // single-threaded and the composed verdict is independent of the worker
 // count (per-switch work is deterministic, composition is in agent order).
+//
+// Flight recorder (optional): shard s writes flight lane s+1 — one "shard"
+// span per process_shard() and a "full_rebuild.<reason>" instant per full
+// rebuild (reason: epoch, threshold, unsafe, overflow) — so the recorder
+// needs shard_count + 1 lanes; lane 0 stays the monitor driver's.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +60,7 @@
 #include "src/stream/event.h"
 
 namespace scout::telemetry {
-class TraceRecorder;
+class FlightRecorder;
 }  // namespace scout::telemetry
 
 namespace scout::stream {
@@ -82,9 +87,9 @@ class IncrementalChecker {
     std::size_t verdicts_reused = 0;    // switches served their cached verdict
   };
 
-  IncrementalChecker(SimNetwork& net, std::size_t shard_count);
+  // `flight` may be null (no spans or markers).
   IncrementalChecker(SimNetwork& net, std::size_t shard_count,
-                     Options options);
+                     Options options, telemetry::FlightRecorder* flight);
   ~IncrementalChecker();
   IncrementalChecker(const IncrementalChecker&) = delete;
   IncrementalChecker& operator=(const IncrementalChecker&) = delete;
@@ -98,8 +103,10 @@ class IncrementalChecker {
 
   // Apply the staged events for every switch owned by `shard` and refresh
   // those switches' verdicts against compiled epoch `epoch`. Distinct
-  // shards may run concurrently; the same shard must not.
-  void process_shard(std::size_t shard, std::uint64_t epoch);
+  // shards may run concurrently; the same shard must not. `batch` only
+  // labels the flight entries.
+  void process_shard(std::size_t shard, std::uint64_t epoch,
+                     std::uint64_t batch);
 
   // Fabric verdict composed from the per-switch cached verdicts in agent
   // order — the same merge order as ScoutSystem::check_all, so the result
@@ -122,12 +129,6 @@ class IncrementalChecker {
   // and load factors are summed/averaged diagnostics.
   [[nodiscard]] BddManager::Stats arena_totals() const;
 
-  // Attach a trace recorder: full-rebuild fallbacks emit instant markers
-  // (reason in `detail`) on lane shard+1. nullptr detaches.
-  void set_trace(telemetry::TraceRecorder* trace) noexcept {
-    trace_ = trace;
-  }
-
  private:
   struct SwitchState;
   struct Shard;
@@ -135,7 +136,7 @@ class IncrementalChecker {
   void apply_event(Shard& shard, SwitchState& st, const StreamEvent& ev,
                    bool bdd_current);
   void note_rebuild(const Shard& shard, const SwitchState& st,
-                    const char* reason);
+                    const char* marker);
   void rebuild_arena(Shard& shard, SwitchState& st, std::uint64_t epoch);
   void rebuild_t(SwitchState& st);
   void refresh_verdict(Shard& shard, SwitchState& st, std::uint64_t epoch);
@@ -146,7 +147,7 @@ class IncrementalChecker {
   std::vector<std::unique_ptr<SwitchState>> states_;  // agent order
   std::unordered_map<SwitchId, std::size_t> index_;   // sw -> states_ index
   std::vector<std::unique_ptr<Shard>> shards_;
-  telemetry::TraceRecorder* trace_ = nullptr;
+  telemetry::FlightRecorder* flight_;
 };
 
 }  // namespace scout::stream

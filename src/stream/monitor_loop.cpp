@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/agent/switch_agent.h"
+#include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/policy/policy_index.h"
 #include "src/riskmodel/risk_model.h"
@@ -36,10 +37,15 @@ MonitorLoop::MonitorLoop(SimNetwork& net, EventBus& bus,
       options_(options),
       full_system_(ScoutSystem::Options{CheckMode::kExactBdd,
                                         options.localizer}) {
+  // Lane 0 is the driver's and lane s+1 checker shard s's; a missing lane
+  // would alias another writer's ring.
+  SCOUT_CHECK(options_.flight == nullptr ||
+                  options_.flight->lanes() > executor.workers(),
+              "MonitorLoop: flight recorder has " << options_.flight->lanes()
+                  << " lanes, needs " << executor.workers() + 1);
   if (options_.incremental) {
     checker_ = std::make_unique<IncrementalChecker>(
-        net, executor.workers(), options_.checker);
-    checker_->set_trace(options_.trace);
+        net, executor.workers(), options_.checker, options_.flight);
   } else {
     full_cache_ = std::make_unique<LogicalBddCache>(executor.workers());
   }
@@ -259,7 +265,10 @@ void MonitorLoop::bridge_counters() {
     hs.events = events_total_;
     hs.events_over_budget = events_over_budget_;
     hs.batches = batches_;
-    hs.full_rebuilds = bridged_checker_.full_rebuilds;
+    // Epoch rebuilds follow planned policy pushes; the SLO grades the
+    // threshold, unsafe and overflow fallbacks only.
+    hs.unplanned_rebuilds =
+        bridged_checker_.full_rebuilds - bridged_checker_.epoch_rebuilds;
     hs.ring_published = bridged_ring_.published;
     hs.ring_evictions = bridged_ring_.evictions;
     hs.ring_full_stalls = bridged_ring_.full_stalls;
@@ -314,22 +323,22 @@ std::size_t MonitorLoop::ingest_ring() {
 
 void MonitorLoop::prime() {
   SerialGuard g{serial_};
-  telemetry::TraceRecorder::Scope span{options_.trace, 0, "prime", "stream",
-                                       net_->clock().now()};
+  const std::uint64_t batch = batches_;
+  const telemetry::FlightRecorder::Scope span{
+      options_.flight, 0, "prime", batch, net_->clock().now().millis()};
   ingest_ring_events();
   cursor_ = bus_->cursor();
   for (const EventBus::ReaderId r : readers_) {
     bus_->advance_reader(r, cursor_);
   }
-  if (options_.compact_bus) bus_->compact(cursor_);
+  bus_->compact(cursor_);
   if (!options_.incremental) return;
   const std::uint64_t epoch = net_->controller().compiled_epoch();
   checker_->stage({});
   executor_->run(checker_->shard_count(),
                  [&](std::size_t shard, std::size_t) {
-                   checker_->process_shard(shard, epoch);
+                   checker_->process_shard(shard, epoch, batch);
                  });
-  span.set_sim_end(net_->clock().now());
   SCOUT_INFO("stream", "primed: " << checker_->switch_count()
                                   << " switches over "
                                   << checker_->shard_count() << " shards");
@@ -345,26 +354,23 @@ MonitorVerdict MonitorLoop::drain() {
   cursor_ += events.size();
   verdict.last_seq = cursor_;
 
-  const SimTime sim_start = net_->clock().now();
-  const auto batch_index = static_cast<std::int64_t>(batches_);
-  telemetry::TraceRecorder::Scope drain_span{
-      options_.trace, 0, "drain", "stream", sim_start, batch_index};
+  const std::uint64_t batch = batches_;
+  const std::int64_t sim_start = net_->clock().now().millis();
+  const telemetry::FlightRecorder::Scope drain_span{options_.flight, 0,
+                                                    "drain", batch, sim_start};
 
   const auto t0 = WallClock::now();
   if (options_.incremental) {
     const std::uint64_t epoch = net_->controller().compiled_epoch();
     checker_->stage(events);
     executor_->run(checker_->shard_count(),
-                   [&](std::size_t shard, std::size_t worker) {
-                     telemetry::TraceRecorder::Scope shard_span{
-                         options_.trace, worker + 1, "shard", "stream",
-                         sim_start, batch_index};
-                     checker_->process_shard(shard, epoch);
+                   [&](std::size_t shard, std::size_t) {
+                     checker_->process_shard(shard, epoch, batch);
                    });
     verdict.check = checker_->compose();
   } else {
-    telemetry::TraceRecorder::Scope check_span{
-        options_.trace, 0, "full_check", "stream", sim_start, batch_index};
+    const telemetry::FlightRecorder::Scope check_span{
+        options_.flight, 0, "full_check", batch, sim_start};
     verdict.check =
         full_system_.check_all(*net_, *executor_, full_cache_.get());
   }
@@ -408,15 +414,15 @@ MonitorVerdict MonitorLoop::drain() {
   for (const EventBus::ReaderId r : readers_) {
     bus_->advance_reader(r, cursor_);
   }
-  if (options_.compact_bus) bus_->compact(cursor_);  // span dies here
+  bus_->compact(cursor_);  // `events` dies here
   bridge_counters();
-  drain_span.set_sim_end(sim_now);
 
   if (options_.snapshot_every_batches > 0 && options_.metrics != nullptr &&
       batches_ % options_.snapshot_every_batches == 0) {
     periodic_snapshots_.push_back(options_.metrics->snapshot());
-    if (options_.trace != nullptr) {
-      options_.trace->instant(0, "metrics_snapshot", "telemetry", sim_now);
+    if (options_.flight != nullptr) {
+      options_.flight->instant(0, "metrics_snapshot", batch,
+                               sim_now.millis());
     }
   }
   return verdict;
@@ -431,8 +437,9 @@ void MonitorLoop::observe_incident(const MonitorVerdict& verdict,
       incidents->observe_verdict(verdict.check, batches_, sim_now);
   if (opened) {
     incidents->attach_suspects(localize_impl(verdict.check));
-    if (options_.trace != nullptr) {
-      options_.trace->instant(0, "incident_open", "stream", sim_now);
+    if (options_.flight != nullptr) {
+      options_.flight->instant(0, "incident_open", batches_,
+                               sim_now.millis());
     }
   }
 }
@@ -478,8 +485,8 @@ LocalizationResult MonitorLoop::localize(const FabricCheck& check) const {
 }
 
 LocalizationResult MonitorLoop::localize_impl(const FabricCheck& check) const {
-  telemetry::TraceRecorder::Scope span{options_.trace, 0, "localize",
-                                       "stream", net_->clock().now()};
+  const telemetry::FlightRecorder::Scope span{
+      options_.flight, 0, "localize", batches_, net_->clock().now().millis()};
   const std::uint64_t epoch = net_->controller().compiled_epoch();
   if (!risk_model_.has_value() || risk_model_epoch_ != epoch) {
     risk_model_ = RiskModel::build_controller_model(
@@ -496,8 +503,9 @@ LocalizationResult MonitorLoop::localize_impl(const FabricCheck& check) const {
 
 std::size_t MonitorLoop::remediate(const FabricCheck& check) {
   SerialGuard g{serial_};
-  telemetry::TraceRecorder::Scope span{options_.trace, 0, "remediate",
-                                       "stream", net_->clock().now()};
+  const telemetry::FlightRecorder::Scope span{
+      options_.flight, 0, "remediate", batches_,
+      net_->clock().now().millis()};
   ScoutReport report;
   report.switches_checked = check.switches_checked;
   report.switches_inconsistent = check.inconsistent.size();
@@ -505,7 +513,6 @@ std::size_t MonitorLoop::remediate(const FabricCheck& check) {
   report.extra_rule_count = check.extra_rule_count;
   const std::size_t still_missing =
       full_system_.remediate(*net_, report, *executor_);
-  span.set_sim_end(net_->clock().now());
   if (options_.metrics != nullptr) {
     options_.metrics->add_counter("stream.remediations", 1);
     options_.metrics->add_counter(

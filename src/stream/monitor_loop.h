@@ -25,9 +25,12 @@
 // stamp -> verdict wall time) and sim (event SimTime -> network clock at
 // the verdict) — plus drain/batch histograms, and bridges the checker,
 // bus and arena counters into "stream." / "bdd." metrics at each drain.
-// A TraceRecorder adds prime/drain/shard/localize/remediate spans (lane 0
-// = driver, lane w+1 = worker w). Both pointers are optional; a null
-// registry/recorder makes every telemetry call a no-op.
+// A FlightRecorder is the span store: lane 0 (the driver) gets the prime,
+// drain, full_check, localize and remediate spans, the incident_open and
+// metrics_snapshot instants, and each drain's event and verdict entries;
+// lane s+1 gets checker shard s's shard spans and full_rebuild.<reason>
+// markers. Both pointers are optional; a null registry/recorder makes
+// every telemetry call a no-op.
 //
 // Confirmed suspects hand off to the existing localization pipeline via
 // localize(): controller risk model, augmented with the verdict's missing
@@ -51,7 +54,6 @@
 #include "src/stream/event_bus.h"
 #include "src/stream/incremental_checker.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace scout::telemetry {
 class FlightRecorder;
@@ -77,12 +79,10 @@ class MonitorLoop {
     IncrementalChecker::Options checker{};
     // Localizer knobs for localize() (stage-2 recency window etc.).
     ScoutLocalizer::Options localizer{};
-    bool compact_bus = true;  // drop drained events from the bus
 
-    // Telemetry sinks, both optional. The registry needs at least
-    // executor.workers() shards; the recorder needs workers()+1 lanes.
+    // Metrics registry, optional; it needs at least executor.workers()
+    // shards.
     telemetry::MetricsRegistry* metrics = nullptr;
-    telemetry::TraceRecorder* trace = nullptr;
     // Take a metrics snapshot every N drains (0 = never); snapshots
     // accumulate in periodic_snapshots().
     std::size_t snapshot_every_batches = 0;
@@ -93,8 +93,9 @@ class MonitorLoop {
     // incident's suspects. Verdicts are composed before the builder runs,
     // so attaching it cannot perturb a digest.
     IncidentBuilder* incidents = nullptr;
-    // Flight recorder (lane 0 = driver): each drain records a verdict
-    // summary plus one entry per cause-bearing event.
+    // Flight recorder, optional: the spans and markers above, plus each
+    // drain's verdict summary and one entry per cause-bearing event. It
+    // needs executor.workers() + 1 lanes (checked at construction).
     telemetry::FlightRecorder* flight = nullptr;
     // When non-empty and a flight recorder is attached, a clean→failing
     // verdict transition dumps the recorder here (first-failure context).

@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/common/json_writer.h"
 #include "src/stream/cause.h"
+#include "src/telemetry/metrics.h"
 
 namespace scout::telemetry {
 namespace {
@@ -79,34 +80,56 @@ void FlightRecorder::set_name(Entry& e, const char* name) noexcept {
   e.name[kNameCapacity - 1] = '\0';
 }
 
+double FlightRecorder::now_ms() const noexcept {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start_)
+      .count();
+}
+
 void FlightRecorder::record(std::size_t lane, Entry e) noexcept {
-  SCOUT_DCHECK(lane < lane_count_, "flight lane " << lane << " out of range");
+  e.wall_ms = now_ms();
+  publish(lane, e);
+}
+
+void FlightRecorder::publish(std::size_t lane, const Entry& e) noexcept {
+  SCOUT_CHECK(lane < lane_count_, "flight lane " << lane << " out of range ("
+                                                 << lane_count_ << " lanes)");
   Lane& l = lanes_[lane];
   const std::uint64_t head = l.head.load(std::memory_order_relaxed);
-  e.wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
   l.entries[head & (capacity_ - 1)] = e;
   l.head.store(head + 1, std::memory_order_release);
 }
 
 void FlightRecorder::instant(std::size_t lane, const char* name,
-                             double value) noexcept {
+                             std::uint64_t batch,
+                             std::int64_t sim_ms) noexcept {
   Entry e;
   e.kind = EntryKind::kInstant;
   set_name(e, name);
-  e.value = value;
+  e.batch = batch;
+  e.sim_ms = sim_ms;
   record(lane, e);
 }
 
-void FlightRecorder::span(std::size_t lane, const char* name, double dur_ms,
-                          std::uint64_t batch) noexcept {
-  Entry e;
-  e.kind = EntryKind::kSpan;
-  set_name(e, name);
-  e.dur_ms = dur_ms;
-  e.batch = batch;
-  record(lane, e);
+FlightRecorder::Scope::Scope(FlightRecorder* recorder, std::size_t lane,
+                             const char* name, std::uint64_t batch,
+                             std::int64_t sim_ms) noexcept
+    : recorder_(recorder), lane_(lane) {
+  if (recorder_ == nullptr) return;
+  entry_.kind = EntryKind::kSpan;
+  set_name(entry_, name);
+  entry_.batch = batch;
+  entry_.sim_ms = sim_ms;
+  entry_.wall_ms = recorder_->now_ms();
+}
+
+FlightRecorder::Scope::~Scope() {
+  if (recorder_ == nullptr) return;
+  // One clock read for both, so wall_ms - dur_ms is the opening instant.
+  const double end_ms = recorder_->now_ms();
+  entry_.dur_ms = end_ms - entry_.wall_ms;
+  entry_.wall_ms = end_ms;
+  recorder_->publish(lane_, entry_);
 }
 
 std::uint64_t FlightRecorder::total_recorded() const noexcept {
@@ -178,6 +201,45 @@ void FlightRecorder::write_json(JsonWriter& w) const {
 std::string FlightRecorder::to_json() const {
   JsonWriter w;
   write_json(w);
+  return w.str();
+}
+
+std::string FlightRecorder::to_chrome_json(
+    const MetricsSnapshot* metrics) const {
+  JsonWriter w;
+  w.begin_object();
+  w.key("traceEvents").begin_array();
+  for (const LaneSnapshot& l : snapshot()) {
+    for (const Entry& e : l.entries) {
+      const bool span = e.kind == EntryKind::kSpan;
+      w.begin_object();
+      w.field("name", e.name);
+      w.field("cat", to_string(e.kind));
+      w.field("ph", span ? "X" : "i");
+      // Chrome timestamps are microseconds; spans are stamped at their end.
+      w.field("ts", (span ? e.wall_ms - e.dur_ms : e.wall_ms) * 1e3);
+      if (span) {
+        w.field("dur", e.dur_ms * 1e3);
+      } else {
+        w.field("s", "t");  // thread-scoped instant
+      }
+      w.field("pid", 1);
+      w.field("tid", static_cast<std::uint64_t>(l.lane));
+      w.key("args").begin_object();
+      if (e.sim_ms >= 0) w.field("sim_ms", e.sim_ms);
+      w.field("batch", e.batch);
+      if (e.cause != 0) w.field("cause", cause_label(e.cause));
+      w.end_object();
+      w.end_object();
+    }
+  }
+  w.end_array();
+  w.field("displayTimeUnit", "ms");
+  if (metrics != nullptr) {
+    w.key("metrics");
+    metrics->write_json(w);
+  }
+  w.end_object();
   return w.str();
 }
 

@@ -1,8 +1,17 @@
 // Flight recorder: a bounded, lock-free ring of the monitor's most recent
 // moments — spans, instants, event summaries, verdicts — kept cheap enough
-// to run always-on and dumped as JSON exactly when it matters: from the
-// SCOUT_CHECK abort path (set_check_failure_hook), on a clean→failing
-// verdict transition, or on demand (scoutctl --flight-recorder).
+// to run always-on. It is the monitor's only span store: the same rings
+// dump as JSON when it matters (from the SCOUT_CHECK abort path via
+// set_check_failure_hook, on a clean→failing verdict transition, or on
+// demand with scoutctl --flight-recorder) and export as a Chrome trace
+// (scoutctl --telemetry). Memory is lanes × capacity entries however long
+// the run.
+//
+// Lanes: lane 0 is the monitor's driver thread; lane s+1 belongs to
+// incremental-checker shard s (its shard spans and rebuild markers). A
+// monitor over W executor workers needs W+1 lanes, and MonitorLoop checks
+// that at construction. A write to an out-of-range lane aborts in every
+// build: aliasing another lane would break its single-writer contract.
 //
 // Design constraints, in order:
 //  * Recording must never allocate, lock, or branch on I/O: each lane is a
@@ -17,9 +26,9 @@
 //    writer is mid-store at abort time may contribute one torn entry; the
 //    other lanes and all older entries are intact.
 //
-// The `cause` field carries stream::CauseId::raw() values (0 = none); the
-// JSON dump decodes them to "engine#ordinal" so a post-mortem reads the
-// same provenance labels as the incident log.
+// The `cause` field carries stream::CauseId::raw() values (0 = none); both
+// exports decode them to "engine#ordinal" so a post-mortem reads the same
+// provenance labels as the incident log.
 #pragma once
 
 #include <atomic>
@@ -37,16 +46,20 @@ class JsonWriter;
 
 namespace scout::telemetry {
 
+struct MetricsSnapshot;
+
 class FlightRecorder {
  public:
   enum class EntryKind : std::uint8_t {
-    kInstant = 0,  // point annotation (value optional)
-    kSpan = 1,     // timed region; dur_ms meaningful
+    kInstant = 0,  // point marker (rebuild reason, snapshot, incident)
+    kSpan = 1,     // timed region; wall_ms is its end, dur_ms its length
     kEvent = 2,    // stream-event summary (seq/sw/cause meaningful)
     kVerdict = 3,  // per-batch verdict summary (value = inconsistent count)
   };
 
-  static constexpr std::size_t kNameCapacity = 24;  // includes terminator
+  // Includes the terminator; the longest monitor name,
+  // "full_rebuild.threshold", fits.
+  static constexpr std::size_t kNameCapacity = 24;
 
   struct Entry {
     EntryKind kind = EntryKind::kInstant;
@@ -81,10 +94,27 @@ class FlightRecorder {
   // release store; never allocates or blocks.
   void record(std::size_t lane, Entry e) noexcept;
 
-  // Convenience writers.
-  void instant(std::size_t lane, const char* name, double value = 0) noexcept;
-  void span(std::size_t lane, const char* name, double dur_ms,
-            std::uint64_t batch) noexcept;
+  // Zero-duration marker (rebuild reason, snapshot tick, incident open).
+  void instant(std::size_t lane, const char* name, std::uint64_t batch,
+               std::int64_t sim_ms) noexcept;
+
+  // RAII span: opens at construction and records one kSpan entry into
+  // `lane` when it goes out of scope. A Scope over a null recorder does
+  // nothing, so instrumented code holds a `FlightRecorder*` and never
+  // branches on it.
+  class Scope {
+   public:
+    Scope(FlightRecorder* recorder, std::size_t lane, const char* name,
+          std::uint64_t batch, std::int64_t sim_ms) noexcept;
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    FlightRecorder* recorder_;
+    std::size_t lane_;
+    Entry entry_;  // wall_ms holds the span's start until it closes
+  };
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lane_count_; }
   [[nodiscard]] std::size_t capacity_per_lane() const noexcept {
@@ -108,6 +138,15 @@ class FlightRecorder {
   // Writes to_json() to `path` via stdio; returns false on I/O failure.
   bool dump_to_file(const char* path) const;
 
+  // Chrome trace-event JSON of the surviving entries (chrome://tracing,
+  // Perfetto): spans become complete events ("ph":"X", ts = wall end −
+  // dur), every other kind an instant ("ph":"i"); tid is the lane, cat
+  // the entry kind, and args carry the sim time, batch and decoded cause.
+  // When `metrics` is non-null the snapshot rides along under a top-level
+  // "metrics" key, which the viewers ignore.
+  [[nodiscard]] std::string to_chrome_json(
+      const MetricsSnapshot* metrics = nullptr) const;
+
   // Arms the process-wide SCOUT_CHECK failure hook to dump this recorder
   // to `path` right before abort(). One recorder may be armed at a time;
   // arming replaces the previous one. The destructor disarms itself.
@@ -119,6 +158,11 @@ class FlightRecorder {
     std::atomic<std::uint64_t> head{0};
     Entry* entries = nullptr;  // points into storage_, capacity_ slots
   };
+
+  // Milliseconds since construction, the wall_ms clock.
+  [[nodiscard]] double now_ms() const noexcept;
+  // The ring store behind record(), for an entry whose wall_ms is set.
+  void publish(std::size_t lane, const Entry& e) noexcept;
 
   std::size_t lane_count_;
   std::size_t capacity_;  // power of two

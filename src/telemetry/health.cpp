@@ -54,7 +54,7 @@ void HealthEngine::observe(const Sample& s) {
                     : static_cast<double>(num) / static_cast<double>(den);
   };
   latency_burn_ = rate(s.events_over_budget, s.events);
-  rebuild_rate_ = rate(s.full_rebuilds, s.batches);
+  rebuild_rate_ = rate(s.unplanned_rebuilds, s.batches);
   eviction_rate_ = rate(s.ring_evictions, s.ring_published);
   stall_rate_ = rate(s.ring_full_stalls, s.ring_published);
 

@@ -6,8 +6,10 @@
 //  * detection latency — fraction of events whose event→verdict wall
 //    latency blew the per-event budget (error-budget burn, not a mean:
 //    a p50-friendly tail regression still burns budget);
-//  * full-rebuild rate — post-prime T re-encodes per batch (the
-//    incremental checker falling back to O(TCAM) work);
+//  * full-rebuild rate — unplanned post-prime T re-encodes per batch (the
+//    incremental checker falling back to O(TCAM) work on a threshold trip,
+//    an out-of-shape delta or a ring-overflow resync; the epoch re-encodes
+//    a policy push plans for do not count);
 //  * ring pressure — MPSC-ring evictions and full-stalls per published
 //    event (backpressure degradation: evictions cost shadow resyncs,
 //    stalls cost publisher latency).
@@ -57,7 +59,7 @@ class HealthEngine {
     std::uint64_t events = 0;
     std::uint64_t events_over_budget = 0;
     std::uint64_t batches = 0;
-    std::uint64_t full_rebuilds = 0;
+    std::uint64_t unplanned_rebuilds = 0;  // full rebuilds minus epoch
     std::uint64_t ring_published = 0;
     std::uint64_t ring_evictions = 0;
     std::uint64_t ring_full_stalls = 0;

@@ -20,8 +20,8 @@
 #include "src/scout/experiment.h"
 #include "src/stream/event_bus.h"
 #include "src/stream/mpsc_ring.h"
+#include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace scout {
 namespace {
@@ -198,23 +198,39 @@ TEST(RaceStress, MetricsResetBetweenParallelPhases) {
   executor.set_metrics(runtime::ExecutorMetrics{});
 }
 
-// -- TraceRecorder: one lane per worker, recorded concurrently ---------------
+// -- FlightRecorder: one lane per worker, recorded concurrently --------------
 
-TEST(RaceStress, TraceLanesRecordConcurrently) {
+TEST(RaceStress, FlightLanesRecordConcurrently) {
   runtime::ThreadPoolExecutor executor{4};
-  telemetry::TraceRecorder recorder{executor.workers() + 1};
   constexpr std::size_t kTasks = 1000;
-  executor.run(kTasks, [&recorder](std::size_t index, std::size_t worker) {
-    telemetry::TraceRecorder::Scope span = recorder.span(
-        worker + 1, "task", "stress", SimTime{},
-        static_cast<std::int64_t>(index));
+  // Room for every entry, so the per-lane counts are exact survivors too.
+  telemetry::FlightRecorder recorder{
+      {.lanes = executor.workers() + 1, .capacity_per_lane = kTasks}};
+  // Each worker counts into its own slot: the expected per-lane totals.
+  std::vector<std::uint64_t> expected(executor.workers() + 1, 0);
+  executor.run(kTasks, [&](std::size_t index, std::size_t worker) {
+    const telemetry::FlightRecorder::Scope span{&recorder, worker + 1,
+                                                "task", index, -1};
+    ++expected[worker + 1];
     if (index % 50 == 0) {
-      recorder.instant(worker + 1, "marker", "stress", SimTime{});
+      recorder.instant(worker + 1, "marker", index, -1);
+      ++expected[worker + 1];
     }
   });
-  recorder.instant(0, "joined", "stress", SimTime{});
-  EXPECT_EQ(recorder.spans().size(), kTasks);
-  EXPECT_EQ(recorder.instants().size(), kTasks / 50 + 1);
+  recorder.instant(0, "joined", kTasks, -1);
+  expected[0] = 1;
+  std::size_t spans = 0;
+  std::size_t instants = 0;
+  for (const auto& lane : recorder.snapshot()) {
+    EXPECT_EQ(lane.recorded, expected[lane.lane]) << "lane " << lane.lane;
+    EXPECT_EQ(lane.entries.size(), lane.recorded) << "lane " << lane.lane;
+    for (const auto& e : lane.entries) {
+      ++(e.kind == telemetry::FlightRecorder::EntryKind::kSpan ? spans
+                                                               : instants);
+    }
+  }
+  EXPECT_EQ(spans, kTasks);
+  EXPECT_EQ(instants, kTasks / 50 + 1);
 }
 
 // -- EventBus under the monitor: the full pipeline at 4 workers --------------
@@ -232,7 +248,7 @@ TEST(RaceStress, MonitorPipelineWithPeriodicSnapshotsAt4Workers) {
   options.batch_ops = 10;
   options.seed = 77;
   options.collect_telemetry = true;
-  options.collect_trace = true;
+  options.collect_flight = true;
   options.snapshot_every_batches = 1;
   options.localize_final = false;
 

@@ -1,23 +1,25 @@
 // Telemetry subsystem: registry handle semantics, shard-merge exactness,
-// worker-count invariance of the deterministic "stream." counters, trace
-// span nesting, and the export formats CI validates.
+// worker-count invariance of the deterministic "stream." counters, the
+// monitor's spans on the flight ring and their bounded Chrome export, the
+// health engine's grades, and the export formats CI validates.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/stats.h"
 #include "src/scout/experiment.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/health.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace scout {
 namespace {
 
 using telemetry::MetricsRegistry;
 using telemetry::MetricsSnapshot;
-using telemetry::TraceRecorder;
 
 TEST(Metrics, RegisterOrFetchAndSnapshot) {
   MetricsRegistry reg{2};
@@ -252,7 +254,7 @@ TEST(Telemetry, StreamCountersWorkerCountInvariant) {
   }
 }
 
-TEST(Telemetry, MonitorTraceSpansNestAndExport) {
+TEST(Telemetry, MonitorFlightSpansNestAndExport) {
   MonitoringOptions options;
   options.profile = GeneratorProfile::scaled(8);
   options.profile.target_pairs = 8 * 30;
@@ -260,7 +262,7 @@ TEST(Telemetry, MonitorTraceSpansNestAndExport) {
   options.batch_ops = 12;
   options.seed = 9;
   options.localize_final = false;
-  options.collect_trace = true;
+  options.collect_flight = true;
   // One churn interval publishes far more than 60 events on this fabric
   // (its control ops republish whole switches), so the run is one batch.
   options.snapshot_every_batches = 1;
@@ -279,37 +281,142 @@ TEST(Telemetry, MonitorTraceSpansNestAndExport) {
   EXPECT_GT(report.periodic_snapshot_count, 0u);
 }
 
-TEST(Telemetry, TraceScopesNestWithinLane) {
-  TraceRecorder rec{2};
-  {
-    TraceRecorder::Scope outer = rec.span(0, "outer", "test", SimTime{100});
-    {
-      TraceRecorder::Scope inner =
-          rec.span(0, "inner", "test", SimTime{110}, /*batch=*/3);
-      inner.set_sim_end(SimTime{120});
-    }
-    rec.instant(1, "marker", "test", SimTime{115}, "why");
-    outer.set_sim_end(SimTime{130});
-  }
-  const auto spans = rec.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // Sorted by wall start: outer opened first.
-  EXPECT_EQ(spans[0].name, "outer");
-  EXPECT_EQ(spans[1].name, "inner");
-  // Proper nesting: inner starts after outer and closes before it.
-  EXPECT_GE(spans[1].wall_start_us, spans[0].wall_start_us);
-  EXPECT_LE(spans[1].wall_start_us + spans[1].wall_dur_us,
-            spans[0].wall_start_us + spans[0].wall_dur_us);
-  EXPECT_EQ(spans[1].batch, 3);
-  EXPECT_EQ(spans[1].sim_end_ms, 120);
-  const auto instants = rec.instants();
-  ASSERT_EQ(instants.size(), 1u);
-  EXPECT_EQ(instants[0].lane, 1u);
-  EXPECT_EQ(instants[0].detail, "why");
+// The ring bounds trace memory: a 4-worker run records far more entries
+// than lanes × capacity, trace_json exports only the survivors, and each
+// checker shard's spans land on its own lane (tid = shard + 1).
+TEST(Telemetry, FlightTraceBoundedWithShardSpansOnShardLanesAt4Workers) {
+  // A small fabric with big churn intervals: many cause-bearing events
+  // per drain fill lane 0 several times over in a fraction of a second.
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(4);
+  options.profile.target_pairs = 4 * 20;
+  options.events = 150000;
+  options.batch_ops = 1000;
+  options.seed = 13;
+  options.localize_final = false;
+  options.collect_flight = true;
+  runtime::ThreadPoolExecutor executor{4};
+  const MonitoringReport report =
+      run_continuous_monitoring(options, executor);
 
-  rec.reset();
-  EXPECT_TRUE(rec.spans().empty());
-  EXPECT_TRUE(rec.instants().empty());
+  const std::size_t bound =
+      (executor.workers() + 1) *
+      telemetry::FlightRecorder::Options{}.capacity_per_lane;
+  EXPECT_GT(report.flight_entries, 3 * bound);
+  std::size_t exported = 0;
+  for (std::size_t at = report.trace_json.find("\"ph\":");
+       at != std::string::npos;
+       at = report.trace_json.find("\"ph\":", at + 1)) {
+    ++exported;
+  }
+  EXPECT_GT(exported, 0u);
+  EXPECT_LE(exported, bound);
+  const std::string shard_span = "{\"name\":\"shard\",\"cat\":\"span\",";
+  std::set<std::size_t> tids;
+  for (std::size_t at = report.trace_json.find(shard_span);
+       at != std::string::npos;
+       at = report.trace_json.find(shard_span, at + 1)) {
+    const std::size_t tid = report.trace_json.find("\"tid\":", at) + 6;
+    tids.insert(std::stoul(report.trace_json.substr(tid, 8)));
+  }
+  EXPECT_EQ(tids, (std::set<std::size_t>{1, 2, 3, 4}));
+}
+
+// -- health/SLO engine -------------------------------------------------------
+
+using HealthStatus = telemetry::HealthEngine::Status;
+
+TEST(Health, GradesAtThresholdsAndOverallIsTheWorst) {
+  MetricsRegistry reg{1};
+  telemetry::HealthEngine health{telemetry::HealthEngine::Options{}, &reg};
+  // Zero denominators rate 0 and grade ok, whatever the numerators say.
+  telemetry::HealthEngine::Sample s;
+  s.events_over_budget = 3;
+  s.unplanned_rebuilds = 4;
+  s.ring_evictions = 2;
+  s.ring_full_stalls = 1;
+  health.observe(s);
+  EXPECT_EQ(health.latency_burn(), 0.0);
+  EXPECT_EQ(health.rebuild_rate(), 0.0);
+  EXPECT_EQ(health.ring_eviction_rate(), 0.0);
+  EXPECT_EQ(health.ring_stall_rate(), 0.0);
+  EXPECT_EQ(health.overall(), HealthStatus::kOk);
+
+  // Thresholds are inclusive: 0.5 unplanned rebuilds per batch warns, 2
+  // is critical.
+  s = {};
+  s.batches = 10;
+  s.unplanned_rebuilds = 4;
+  health.observe(s);
+  EXPECT_EQ(health.rebuild_status(), HealthStatus::kOk);
+  s.unplanned_rebuilds = 5;
+  health.observe(s);
+  EXPECT_EQ(health.rebuild_status(), HealthStatus::kWarn);
+  EXPECT_EQ(health.overall(), HealthStatus::kWarn);
+  s.unplanned_rebuilds = 20;
+  health.observe(s);
+  EXPECT_EQ(health.rebuild_status(), HealthStatus::kCritical);
+  EXPECT_EQ(health.overall(), HealthStatus::kCritical);
+
+  // Latency burn: 5% of events over budget warns, 25% is critical.
+  s = {};
+  s.events = 100;
+  s.events_over_budget = 5;
+  health.observe(s);
+  EXPECT_EQ(health.latency_status(), HealthStatus::kWarn);
+  s.events_over_budget = 25;
+  health.observe(s);
+  EXPECT_EQ(health.latency_status(), HealthStatus::kCritical);
+
+  // The ring grades the worse of evictions and stalls, and overall is the
+  // worst of the three objectives.
+  s.events_over_budget = 0;
+  s.ring_published = 10000;
+  s.ring_evictions = 100;  // 1e-2: critical
+  health.observe(s);
+  EXPECT_EQ(health.latency_status(), HealthStatus::kOk);
+  EXPECT_EQ(health.ring_status(), HealthStatus::kCritical);
+  EXPECT_EQ(health.overall(), HealthStatus::kCritical);
+  s.ring_evictions = 0;
+  s.ring_full_stalls = 100;  // 1e-2: warn
+  s.events_over_budget = 5;  // warn
+  health.observe(s);
+  EXPECT_EQ(health.ring_status(), HealthStatus::kWarn);
+  EXPECT_EQ(health.overall(), HealthStatus::kWarn);
+
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.gauge("health.status"), 1.0);
+  EXPECT_EQ(snap.gauge("health.ring.status"), 1.0);
+  EXPECT_EQ(snap.gauge("health.rebuild.status"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.gauge("health.latency.burn"), 0.05);
+}
+
+// Epoch rebuilds are the planned cost of a policy push: the rebuild SLO
+// grades threshold, unsafe and overflow rebuilds per batch only.
+TEST(Health, PlannedEpochRebuildsDoNotBurnTheRebuildBudget) {
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(6);
+  options.profile.target_pairs = 6 * 20;
+  options.events = 20000;
+  options.batch_ops = 64;
+  options.seed = 3;
+  options.mix.migrate = 0.1;  // each migration bumps the compiled epoch
+  options.collect_health = true;
+  options.localize_final = false;
+  runtime::SerialExecutor executor;
+  const MonitoringReport report =
+      run_continuous_monitoring(options, executor);
+
+  const stream::IncrementalChecker::Stats& c = report.checker;
+  ASSERT_GT(report.batches, 0u);
+  // Epoch rebuilds alone would grade critical (>= 2 per batch).
+  ASSERT_GE(c.epoch_rebuilds, 2 * report.batches);
+  const double unplanned =
+      static_cast<double>(c.full_rebuilds - c.epoch_rebuilds) /
+      static_cast<double>(report.batches);
+  EXPECT_DOUBLE_EQ(report.telemetry.gauge("health.rebuild.rate"), unplanned);
+  EXPECT_EQ(unplanned, 0.0);
+  EXPECT_EQ(report.telemetry.gauge("health.rebuild.status"), 0.0);
 }
 
 }  // namespace
