@@ -34,9 +34,12 @@
 //                  the same ring --telemetry exports, so both files hold
 //                  the last entries of each lane (lane 0 the driver, lane
 //                  s+1 checker shard s)
-//   stats          run the monitor scenario and dump the full telemetry
-//                  snapshot (Prometheus text format, or JSON with --json);
-//                  includes the health/SLO engine's health.* gauges
+//   stats          run the monitor scenario and dump its metrics snapshot
+//                  (Prometheus text format, or JSON with --json): the
+//                  registry's series plus the bus, ring, checker, arena
+//                  and agent counts MonitorLoop::snapshot_metrics() reads
+//                  at the end of the run, and the health/SLO engine's
+//                  health.* gauges
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -105,7 +108,6 @@ MonitoringReport run_monitor_scenario(std::uint64_t seed, std::size_t events,
   options.seed = seed;
   options.incremental = !full;
   options.remediate_final = remediate;
-  if (want_trace) options.snapshot_every_batches = 8;
   options.gray_rate = faults.gray_rate;
   options.storm = faults.storm;
   options.evict_policy = faults.evict_policy;
@@ -208,8 +210,7 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
   if (!telemetry_path.empty()) {
     if (!write_artifact(telemetry_path, report.trace_json)) return 1;
     std::cout << "telemetry       : trace + metrics written to "
-              << telemetry_path << " (" << report.periodic_snapshot_count
-              << " periodic snapshot(s) taken)\n";
+              << telemetry_path << '\n';
   }
   return 0;
 }

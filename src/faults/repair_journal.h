@@ -77,7 +77,7 @@ class RepairJournal {
   void repair(SimNetwork& net);
 
   // Lifetime totals across arm/undo/repair cycles (rule_ops() is only the
-  // currently armed window). The telemetry bridge reads these.
+  // currently armed window).
   struct Stats {
     std::uint64_t ops_recorded = 0;
     std::uint64_t ops_undone = 0;

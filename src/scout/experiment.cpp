@@ -757,10 +757,10 @@ const LogHistogram& MonitoringReport::sim_latency() const noexcept {
 namespace {
 
 // Fault classes beyond the churn mix land on the deployed network before
-// the monitor is constructed (register_metrics reads per-agent eviction
-// policy names) and before any churn. Everything is seeded off the run
-// seed and per-agent ids, never off publisher count or timing. `ledger`
-// (null unless collect_incidents) receives the engines' ground truth.
+// the monitor is constructed and before any churn. Everything is seeded
+// off the run seed and per-agent ids, never off publisher count or
+// timing. `ledger` (null unless collect_incidents) receives the engines'
+// ground truth.
 std::unique_ptr<StormSchedule> arm_fault_engines(
     const MonitoringOptions& options, SimNetwork& net,
     stream::CauseLedger* ledger) {
@@ -817,18 +817,17 @@ struct MonitoringRig {
     mopts.incremental = options.incremental;
     mopts.checker = options.checker;
     mopts.metrics = registry.get();
-    mopts.snapshot_every_batches = options.snapshot_every_batches;
     mopts.incidents = incidents.get();
     mopts.flight = flight.get();
     mopts.flight_dump_path = options.flight_dump_path;
     mopts.health = health.get();
-    mopts.churn_top_k = options.churn_top_k;
     return mopts;
   }
 };
 
 // The ring is sized over the SwitchId space and attached before the
-// monitor is constructed, so the monitor's ring metrics register.
+// monitor primes, so every event the publishers append reaches the serial
+// log through the monitor's ingest.
 // Pipelined runs use backpressure (nothing evicted mid-run — markers would
 // race the free-running publishers); phased runs use eviction-to-resync.
 MonitoringRig make_rig(const MonitoringOptions& options, SimNetwork& net,
@@ -875,6 +874,10 @@ MonitoringRig make_rig(const MonitoringOptions& options, SimNetwork& net,
   if (ledger != nullptr) rig.driver->set_cause_ledger(ledger);
   return rig;
 }
+
+// Consecutive churn intervals that publish no event before a phased run
+// gives up on reaching options.events.
+constexpr std::size_t kMaxSilentIntervals = 64;
 
 // Alternates churn with drains until options.events are verified, filling
 // the report's loop counts, digest, timings and final verdict.
@@ -945,8 +948,17 @@ void run_monitoring_loop(const MonitoringOptions& options, SimNetwork& net,
     report.final_verdict_matches_fresh = fabric_check_identical(
         report.final_check, verify_system.check_all(net));
   } else {
+    // An interval that publishes nothing (an undetected bit flip, a
+    // record-only change) changed nothing to verify: pump again without a
+    // drain. Only a long silent run ends the loop early, e.g. evict-only
+    // churn that has emptied every TCAM.
+    std::size_t silent_intervals = 0;
     while (report.events < options.events) {
-      if (driver.pump(options.batch_ops) == 0) break;  // degenerate network
+      if (driver.pump(options.batch_ops) == 0) {
+        if (++silent_intervals == kMaxSilentIntervals) break;
+        continue;
+      }
+      silent_intervals = 0;
       stream::MonitorVerdict verdict = monitor.drain();
       fold_verdict(verdict);
       if (options.verify_batches &&
@@ -1026,11 +1038,10 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
   }
 
   if (rig.registry != nullptr) {
-    // The registry is the one source of truth for every series: the
-    // report carries its snapshot, the same numbers scoutctl --telemetry
-    // and the benches export.
+    // One copy of every series: the registry's own plus the owners' counts
+    // read at this instant. The report carries the same numbers scoutctl
+    // --telemetry and the benches export.
     report.telemetry = monitor.snapshot_metrics();
-    report.periodic_snapshot_count = monitor.periodic_snapshots().size();
   }
   if (rig.flight != nullptr) {
     report.flight_entries = rig.flight->total_recorded();

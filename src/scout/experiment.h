@@ -289,8 +289,6 @@ struct MonitoringOptions {
   // fault-engine series; off is the zero-instrumentation baseline the
   // overhead gate in bench/stream_latency.cpp compares against.
   bool collect_telemetry = true;
-  // Periodic metrics snapshots every N batches (0 = never).
-  std::size_t snapshot_every_batches = 0;
   // Remediate the final verdict (reinstall missing rules + re-check).
   bool remediate_final = false;
   // Transport of the data-op schedule. 0 = serial: the driver executes it
@@ -356,18 +354,15 @@ struct MonitoringOptions {
   // >= 0 replaces it. Incident-accuracy legs pin 0 — dropped updates
   // publish no event, so their damage is structurally unattributable.
   double gray_drop_rate = -1.0;
-  // Per-switch churn gauge cardinality cap: only the K busiest switches
-  // get a stream.churn.sw<N> gauge; the rest roll up into
-  // stream.churn.other (tests/test_telemetry.cpp pins conservation).
-  std::size_t churn_top_k = 32;
 };
 
 // What only the driver knows. Every other number — detection latency
 // (stream.wall_latency_ms / stream.sim_latency_ms), ring evictions and
 // stalls (stream.ring_*), storm episodes (faults.storm.episodes), gray
 // misrenders and drops (faults.gray.*), TCAM evictions (tcam.evictions.*),
-// health (health.status) — is read from `telemetry`, the registry snapshot
-// taken at the end of the run (empty when collect_telemetry is off).
+// health (health.status) — is read from `telemetry`, the monitor's metrics
+// snapshot taken at the end of the run (empty when collect_telemetry is
+// off).
 struct MonitoringReport {
   std::size_t events = 0;
   std::size_t batches = 0;
@@ -391,7 +386,6 @@ struct MonitoringReport {
   stream::IncidentBuilder::Totals incident_totals;  // collect_incidents
   // Artifacts.
   telemetry::MetricsSnapshot telemetry;
-  std::size_t periodic_snapshot_count = 0;
   std::uint64_t flight_entries = 0;  // collect_flight: lifetime entries
   // collect_flight: Chrome trace of the ring's surviving entries, with the
   // telemetry snapshot embedded when collect_telemetry is on.

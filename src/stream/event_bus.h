@@ -95,7 +95,7 @@ class EventBus {
     return base_;
   }
 
-  // Lifetime counters for the telemetry bridge: totals survive
+  // Lifetime counters the monitor's metrics snapshot reads: totals survive
   // compaction, unlike retained()/base() which describe current storage.
   // `published` counts every event entering the serial stream (serial
   // publishes + ring ingests + synthesized resyncs); `ingested` and

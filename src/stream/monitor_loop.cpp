@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "src/agent/switch_agent.h"
 #include "src/common/check.h"
@@ -80,65 +82,6 @@ void MonitorLoop::register_metrics() {
   sim_latency_ms_ = reg->histogram("stream.sim_latency_ms");
   drain_ms_ = reg->histogram("stream.drain_ms");
   batch_events_ = reg->histogram("stream.batch_events");
-  bus_backlog_ = reg->gauge("stream.bus_backlog");
-  bus_cursor_lag_ = reg->gauge("stream.bus_cursor_lag");
-  bus_published_ = reg->counter("stream.bus_published");
-  bus_compactions_ = reg->counter("stream.bus_compactions");
-  bus_compacted_events_ = reg->counter("stream.bus_compacted_events");
-  if (checker_ != nullptr) {
-    initial_builds_ = reg->counter("stream.initial_builds");
-    events_applied_ = reg->counter("stream.events_applied");
-    incremental_updates_ = reg->counter("stream.incremental_updates");
-    full_rebuilds_ = reg->counter("stream.full_rebuilds");
-    epoch_rebuilds_ = reg->counter("stream.epoch_rebuilds");
-    threshold_trips_ = reg->counter("stream.threshold_trips");
-    unsafe_rebuilds_ = reg->counter("stream.unsafe_rebuilds");
-    overflow_resyncs_ = reg->counter("stream.overflow_resyncs");
-    diff_recomputes_ = reg->counter("stream.diff_recomputes");
-    verdicts_reused_ = reg->counter("stream.verdicts_reused");
-    arena_peak_nodes_ = reg->gauge("bdd.arena_peak_nodes");
-    // Per-switch churn series register lazily, top-K per bridge
-    // (update_churn_gauges) — an upfront gauge per switch would make the
-    // exporter's cardinality linear in fabric size.
-    churn_other_gauge_ = reg->gauge("stream.churn.other");
-  } else {
-    resident_switches_ = reg->gauge("bdd.resident_switches");
-  }
-  // Concurrent-publish instrumentation — only when the driver attached a
-  // ring before constructing the monitor (serial-only runs skip the
-  // metric names entirely).
-  if (const MpscRing* ring = bus_->ring()) {
-    bus_ingested_ = reg->counter("stream.bus_ingested");
-    bus_resyncs_synthesized_ = reg->counter("stream.bus_resyncs_synthesized");
-    ring_published_ = reg->counter("stream.ring_published");
-    ring_drained_ = reg->counter("stream.ring_drained");
-    ring_evictions_ = reg->counter("stream.ring_evictions");
-    ring_full_stalls_ = reg->counter("stream.ring_full_stalls");
-    ring_occupancy_ = reg->gauge("stream.ring_occupancy");
-    ring_high_water_ = reg->gauge("stream.ring_high_water");
-    ring_lag_gauges_.reserve(ring->publishers());
-    for (std::size_t p = 0; p < ring->publishers(); ++p) {
-      ring_lag_gauges_.push_back(
-          reg->gauge("stream.ring.lag.pub" + std::to_string(p)));
-    }
-  }
-  // Fault-engine activity. The eviction counter names are read off the
-  // agents at construction time (policies are installed before the
-  // monitor), one series per distinct policy in use.
-  gray_misrenders_counter_ = reg->counter("faults.gray.misrenders");
-  gray_drops_counter_ = reg->counter("faults.gray.drops");
-  const auto agents = net_->agents();
-  eviction_counters_.reserve(agents.size());
-  bridged_evictions_.assign(agents.size(), 0);
-  for (const auto& agent : agents) {
-    eviction_counters_.push_back(reg->counter(
-        "tcam.evictions." +
-        std::string(agent->tcam().eviction_policy_name())));
-  }
-  arena_nodes_ = reg->gauge("bdd.arena_nodes");
-  arena_rollbacks_ = reg->gauge("bdd.arena_rollbacks");
-  unique_load_ = reg->gauge("bdd.unique_load");
-  cache_hit_rate_ = reg->gauge("bdd.cache_hit_rate");
   // Executor queue-wait / task-runtime distributions (wall diagnostics).
   // The registry pointer makes every Executor::run a parallel region on
   // this registry, so an in-flight snapshot()/reset() aborts instead of
@@ -151,164 +94,22 @@ void MonitorLoop::register_metrics() {
   executor_->set_metrics(std::move(exec_metrics));
 }
 
-void MonitorLoop::bridge_counters() {
-  if (options_.metrics == nullptr) return;
-
-  // Bus lifetime counters (cumulative -> delta-fold).
-  const EventBus::Stats bus = bus_->stats();
-  bus_published_.add(bus.published - bridged_bus_.published);
-  bus_compactions_.add(bus.compactions - bridged_bus_.compactions);
-  bus_compacted_events_.add(bus.compacted_events -
-                            bridged_bus_.compacted_events);
-  bus_ingested_.add(bus.ingested - bridged_bus_.ingested);
-  bus_resyncs_synthesized_.add(bus.resyncs_synthesized -
-                               bridged_bus_.resyncs_synthesized);
-  bridged_bus_ = bus;
-  bus_backlog_.set(static_cast<double>(bus_->retained()));
-  bus_cursor_lag_.set(static_cast<double>(bus_->cursor() - cursor_));
-
-  if (const MpscRing* ring = bus_->ring()) {
-    const MpscRing::Stats rs = ring->stats();
-    ring_published_.add(rs.published - bridged_ring_.published);
-    ring_drained_.add(rs.drained - bridged_ring_.drained);
-    ring_evictions_.add(rs.evictions - bridged_ring_.evictions);
-    ring_full_stalls_.add(rs.full_stalls - bridged_ring_.full_stalls);
-    bridged_ring_ = rs;
-    ring_occupancy_.set(static_cast<double>(ring->occupancy()));
-    ring_high_water_.set(static_cast<double>(ring->high_water()));
-    // Per-publisher cursor lag: how far each shard's published cursor has
-    // run ahead of its drained cursor (live backlog attributable to that
-    // publisher thread).
-    for (std::size_t p = 0; p < ring_lag_gauges_.size(); ++p) {
-      ring_lag_gauges_[p].set(static_cast<double>(ring->published_cursor(p) -
-                                                  ring->drained_cursor(p)));
-    }
-  }
-
-  // Fault-engine lifetime counters, delta-folded like the other
-  // cumulative sources. Gray counters only move in the serial control
-  // phase (controller pushes); the eviction counter is relaxed-atomic so
-  // reading it here is safe even while pinned publishers are evicting.
-  {
-    std::uint64_t misrenders = 0;
-    std::uint64_t drops = 0;
-    const auto agents = net_->agents();
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      misrenders += agents[i]->gray_misrenders();
-      drops += agents[i]->gray_drops();
-      if (i < eviction_counters_.size()) {
-        const std::uint64_t ev = agents[i]->tcam().evictions();
-        eviction_counters_[i].add(ev - bridged_evictions_[i]);
-        bridged_evictions_[i] = ev;
-      }
-    }
-    gray_misrenders_counter_.add(misrenders - bridged_gray_misrenders_);
-    gray_drops_counter_.add(drops - bridged_gray_drops_);
-    bridged_gray_misrenders_ = misrenders;
-    bridged_gray_drops_ = drops;
-  }
-
-  if (checker_ != nullptr) {
-    const IncrementalChecker::Stats s = checker_->stats();
-    const auto fold = [](telemetry::Counter& counter, std::size_t now,
-                         std::size_t last) {
-      counter.add(static_cast<std::uint64_t>(now - last));
-    };
-    fold(initial_builds_, s.initial_builds, bridged_checker_.initial_builds);
-    fold(events_applied_, s.events_applied, bridged_checker_.events_applied);
-    fold(incremental_updates_, s.incremental_updates,
-         bridged_checker_.incremental_updates);
-    fold(full_rebuilds_, s.full_rebuilds, bridged_checker_.full_rebuilds);
-    fold(epoch_rebuilds_, s.epoch_rebuilds, bridged_checker_.epoch_rebuilds);
-    fold(threshold_trips_, s.threshold_trips,
-         bridged_checker_.threshold_trips);
-    fold(unsafe_rebuilds_, s.unsafe_rebuilds,
-         bridged_checker_.unsafe_rebuilds);
-    fold(overflow_resyncs_, s.overflow_resyncs,
-         bridged_checker_.overflow_resyncs);
-    fold(diff_recomputes_, s.diff_recomputes,
-         bridged_checker_.diff_recomputes);
-    fold(verdicts_reused_, s.verdicts_reused,
-         bridged_checker_.verdicts_reused);
-    bridged_checker_ = s;
-
-    // Resident arena sizes across the per-switch managers. Node/rollback
-    // totals are deterministic in incremental mode (one arena per switch,
-    // driven only by the event stream).
-    const BddManager::Stats arena = checker_->arena_totals();
-    arena_nodes_.set(static_cast<double>(arena.nodes));
-    arena_peak_nodes_.set(static_cast<double>(arena.peak_nodes));
-    arena_rollbacks_.set(static_cast<double>(arena.rollbacks));
-    unique_load_.set(arena.unique_load);
-    cache_hit_rate_.set(arena.cache_lookups == 0
-                            ? 0.0
-                            : static_cast<double>(arena.cache_hits) /
-                                  static_cast<double>(arena.cache_lookups));
-
-    // Live per-switch churn: the signal a churn-tiered monitor would
-    // classify switches on (see ROADMAP).
-    update_churn_gauges();
-  } else if (full_cache_ != nullptr) {
-    const LogicalBddCache::Stats s = full_cache_->stats();
-    arena_nodes_.set(static_cast<double>(s.nodes));
-    unique_load_.set(s.unique_load);
-    cache_hit_rate_.set(s.cache_hit_rate);
-    arena_rollbacks_.set(static_cast<double>(s.rollbacks));
-    resident_switches_.set(static_cast<double>(s.resident_switches));
-  }
-
-  // The health engine reads lifetime-cumulative totals — the bridged_*
-  // copies were just refreshed above, so this observes the same instant
-  // the registry does.
-  if (options_.health != nullptr) {
-    telemetry::HealthEngine::Sample hs;
-    hs.events = events_total_;
-    hs.events_over_budget = events_over_budget_;
-    hs.batches = batches_;
-    // Epoch rebuilds follow planned policy pushes; the SLO grades the
-    // threshold, unsafe and overflow fallbacks only.
-    hs.unplanned_rebuilds =
-        bridged_checker_.full_rebuilds - bridged_checker_.epoch_rebuilds;
-    hs.ring_published = bridged_ring_.published;
-    hs.ring_evictions = bridged_ring_.evictions;
-    hs.ring_full_stalls = bridged_ring_.full_stalls;
-    options_.health->observe(hs);
-  }
-}
-
-void MonitorLoop::update_churn_gauges() {
-  const auto churn = checker_->churn_by_switch();
-  const std::size_t k = std::min(options_.churn_top_k, churn.size());
-  // Deterministic top-K: highest churn first, ties broken by switch id.
-  std::vector<std::size_t> order(churn.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (churn[a].second != churn[b].second) {
-                        return churn[a].second > churn[b].second;
-                      }
-                      return churn[a].first.value() < churn[b].first.value();
-                    });
-  double other = 0;
-  for (std::size_t i = k; i < order.size(); ++i) {
-    other += static_cast<double>(churn[order[i]].second);
-  }
-  // Zero every registered series first so a switch that dropped out of
-  // the top set reads 0 instead of its stale last value.
-  for (auto& [sw, gauge] : churn_gauges_by_sw_) gauge.set(0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto& [sw, value] = churn[order[i]];
-    auto it = churn_gauges_by_sw_.find(sw.value());
-    if (it == churn_gauges_by_sw_.end()) {
-      it = churn_gauges_by_sw_
-               .emplace(sw.value(),
-                        options_.metrics->gauge(
-                            "stream.churn.sw" + std::to_string(sw.value())))
-               .first;
-    }
-    it->second.set(static_cast<double>(value));
-  }
-  churn_other_gauge_.set(other);
+void MonitorLoop::observe_health() {
+  // Lifetime totals, read from their owners. Epoch rebuilds follow
+  // planned policy pushes; the SLO grades the threshold, unsafe and
+  // overflow fallbacks only.
+  const IncrementalChecker::Stats checker = checker_stats();
+  const MpscRing* ring = bus_->ring();
+  const MpscRing::Stats rs =
+      ring != nullptr ? ring->stats() : MpscRing::Stats{};
+  options_.health->observe(
+      {.events = events_total_,
+       .events_over_budget = events_over_budget_,
+       .batches = batches_,
+       .unplanned_rebuilds = checker.full_rebuilds - checker.epoch_rebuilds,
+       .ring_published = rs.published,
+       .ring_evictions = rs.evictions,
+       .ring_full_stalls = rs.full_stalls});
 }
 
 std::size_t MonitorLoop::ingest_ring_events() {
@@ -415,16 +216,7 @@ MonitorVerdict MonitorLoop::drain() {
     bus_->advance_reader(r, cursor_);
   }
   bus_->compact(cursor_);  // `events` dies here
-  bridge_counters();
-
-  if (options_.snapshot_every_batches > 0 && options_.metrics != nullptr &&
-      batches_ % options_.snapshot_every_batches == 0) {
-    periodic_snapshots_.push_back(options_.metrics->snapshot());
-    if (options_.flight != nullptr) {
-      options_.flight->instant(0, "metrics_snapshot", batch,
-                               sim_now.millis());
-    }
-  }
+  if (options_.health != nullptr) observe_health();
   return verdict;
 }
 
@@ -538,8 +330,119 @@ IncrementalChecker::Stats MonitorLoop::checker_stats() const {
 telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
   SerialGuard g{serial_};
   if (options_.metrics == nullptr) return telemetry::MetricsSnapshot{};
-  bridge_counters();
-  return options_.metrics->snapshot();
+  telemetry::MetricsSnapshot snap = options_.metrics->snapshot();
+  const auto counter = [&snap](std::string name, std::uint64_t value) {
+    snap.counters.push_back({std::move(name), value});
+  };
+  const auto gauge = [&snap](std::string name, double value) {
+    snap.gauges.push_back({std::move(name), value});
+  };
+
+  const EventBus::Stats bus = bus_->stats();
+  counter("stream.bus_published", bus.published);
+  counter("stream.bus_compactions", bus.compactions);
+  counter("stream.bus_compacted_events", bus.compacted_events);
+  gauge("stream.bus_backlog", static_cast<double>(bus_->retained()));
+  gauge("stream.bus_cursor_lag",
+        static_cast<double>(bus_->cursor() - cursor_));
+  if (const MpscRing* ring = bus_->ring()) {
+    const MpscRing::Stats rs = ring->stats();
+    counter("stream.bus_ingested", bus.ingested);
+    counter("stream.bus_resyncs_synthesized", bus.resyncs_synthesized);
+    counter("stream.ring_published", rs.published);
+    counter("stream.ring_drained", rs.drained);
+    counter("stream.ring_evictions", rs.evictions);
+    counter("stream.ring_full_stalls", rs.full_stalls);
+    gauge("stream.ring_occupancy", static_cast<double>(ring->occupancy()));
+    gauge("stream.ring_high_water", static_cast<double>(ring->high_water()));
+    // Per-publisher backlog: how far each shard's published cursor has run
+    // ahead of its drained cursor.
+    for (std::size_t p = 0; p < ring->publishers(); ++p) {
+      gauge("stream.ring.lag.pub" + std::to_string(p),
+            static_cast<double>(ring->published_cursor(p) -
+                                ring->drained_cursor(p)));
+    }
+  }
+
+  // Fault engines: gray counts summed over the agents, TCAM evictions
+  // summed per eviction policy. The eviction count is relaxed-atomic, so
+  // this read is safe even next to a publisher that is still evicting.
+  std::uint64_t misrenders = 0;
+  std::uint64_t drops = 0;
+  std::map<std::string_view, std::uint64_t> evictions_by_policy;
+  for (const auto& agent : net_->agents()) {
+    misrenders += agent->gray_misrenders();
+    drops += agent->gray_drops();
+    evictions_by_policy[agent->tcam().eviction_policy_name()] +=
+        agent->tcam().evictions();
+  }
+  counter("faults.gray.misrenders", misrenders);
+  counter("faults.gray.drops", drops);
+  for (const auto& [policy, n] : evictions_by_policy) {
+    counter("tcam.evictions." + std::string(policy), n);
+  }
+
+  if (checker_ != nullptr) {
+    const IncrementalChecker::Stats s = checker_->stats();
+    counter("stream.initial_builds", s.initial_builds);
+    counter("stream.events_applied", s.events_applied);
+    counter("stream.incremental_updates", s.incremental_updates);
+    counter("stream.full_rebuilds", s.full_rebuilds);
+    counter("stream.epoch_rebuilds", s.epoch_rebuilds);
+    counter("stream.threshold_trips", s.threshold_trips);
+    counter("stream.unsafe_rebuilds", s.unsafe_rebuilds);
+    counter("stream.overflow_resyncs", s.overflow_resyncs);
+    counter("stream.diff_recomputes", s.diff_recomputes);
+    counter("stream.verdicts_reused", s.verdicts_reused);
+    // Resident arena sizes across the per-switch managers. Node/rollback
+    // totals are deterministic in incremental mode (one arena per switch,
+    // driven only by the event stream).
+    const BddManager::Stats arena = checker_->arena_totals();
+    gauge("bdd.arena_nodes", static_cast<double>(arena.nodes));
+    gauge("bdd.arena_peak_nodes", static_cast<double>(arena.peak_nodes));
+    gauge("bdd.arena_rollbacks", static_cast<double>(arena.rollbacks));
+    gauge("bdd.unique_load", arena.unique_load);
+    gauge("bdd.cache_hit_rate",
+          arena.cache_lookups == 0
+              ? 0.0
+              : static_cast<double>(arena.cache_hits) /
+                    static_cast<double>(arena.cache_lookups));
+    // Live per-switch churn, capped at the kChurnTopK busiest switches
+    // (ties to the lower switch id); the rest fold into one series, so the
+    // series count stays bounded on any fabric.
+    auto churn = checker_->churn_by_switch();
+    const std::size_t k = std::min(kChurnTopK, churn.size());
+    std::partial_sort(churn.begin(), churn.begin() + k, churn.end(),
+                      [](const auto& a, const auto& b) {
+                        if (a.second != b.second) return a.second > b.second;
+                        return a.first.value() < b.first.value();
+                      });
+    double other = 0;
+    for (std::size_t i = 0; i < churn.size(); ++i) {
+      const double value = static_cast<double>(churn[i].second);
+      if (i < k) {
+        gauge("stream.churn.sw" + std::to_string(churn[i].first.value()),
+              value);
+      } else {
+        other += value;
+      }
+    }
+    gauge("stream.churn.other", other);
+  } else {
+    const LogicalBddCache::Stats s = full_cache_->stats();
+    gauge("bdd.arena_nodes", static_cast<double>(s.nodes));
+    gauge("bdd.arena_rollbacks", static_cast<double>(s.rollbacks));
+    gauge("bdd.unique_load", s.unique_load);
+    gauge("bdd.cache_hit_rate", s.cache_hit_rate);
+    gauge("bdd.resident_switches", static_cast<double>(s.resident_switches));
+  }
+
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  };
+  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
+  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
+  return snap;
 }
 
 }  // namespace scout::stream

@@ -23,14 +23,18 @@
 // Telemetry: when Options carries a MetricsRegistry the loop records
 // event-to-detection latency in *both* clocks — wall (publish steady_clock
 // stamp -> verdict wall time) and sim (event SimTime -> network clock at
-// the verdict) — plus drain/batch histograms, and bridges the checker,
-// bus and arena counters into "stream." / "bdd." metrics at each drain.
+// the verdict) — plus drain/batch histograms. The lifetime counts the bus,
+// the ring, the checker, the arenas and the agents keep themselves are not
+// copied into the registry: snapshot_metrics() reads each owner once and
+// merges its "stream." / "bdd." / "faults." / "tcam." series into the
+// registry's snapshot, so a registry attached to a monitor is read through
+// MonitorLoop::snapshot_metrics(), not MetricsRegistry::snapshot().
 // A FlightRecorder is the span store: lane 0 (the driver) gets the prime,
-// drain, full_check, localize and remediate spans, the incident_open and
-// metrics_snapshot instants, and each drain's event and verdict entries;
-// lane s+1 gets checker shard s's shard spans and full_rebuild.<reason>
-// markers. Both pointers are optional; a null registry/recorder makes
-// every telemetry call a no-op.
+// drain, full_check, localize and remediate spans, the incident_open
+// instants, and each drain's event and verdict entries; lane s+1 gets
+// checker shard s's shard spans and full_rebuild.<reason> markers. Both
+// pointers are optional; a null registry/recorder makes every telemetry
+// call a no-op.
 //
 // Confirmed suspects hand off to the existing localization pipeline via
 // localize(): controller risk model, augmented with the verdict's missing
@@ -43,7 +47,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/checker/logical_bdd_cache.h"
@@ -83,9 +86,6 @@ class MonitorLoop {
     // Metrics registry, optional; it needs at least executor.workers()
     // shards.
     telemetry::MetricsRegistry* metrics = nullptr;
-    // Take a metrics snapshot every N drains (0 = never); snapshots
-    // accumulate in periodic_snapshots().
-    std::size_t snapshot_every_batches = 0;
 
     // Incident provenance (observe-only, incident.h): each drain feeds
     // the builder its events and verdict; a clean→failing transition
@@ -101,14 +101,15 @@ class MonitorLoop {
     // verdict transition dumps the recorder here (first-failure context).
     std::string flight_dump_path{};
     // Health/SLO engine: fed lifetime-cumulative totals (events over the
-    // detection budget, full rebuilds, ring pressure) at every bridge.
+    // detection budget, unplanned rebuilds, ring pressure) after every
+    // drain, read straight from their owners.
     telemetry::HealthEngine* health = nullptr;
-    // Cardinality cap on the live per-switch churn gauges: only the K
-    // highest-churn switches get their own "stream.churn.sw<N>" series
-    // each bridge; the remainder folds into "stream.churn.other". 0
-    // disables per-switch series entirely.
-    std::size_t churn_top_k = 32;
   };
+
+  // Cardinality cap on the per-switch churn gauges: the K busiest switches
+  // get their own "stream.churn.sw<N>" series; the rest fold into
+  // "stream.churn.other".
+  static constexpr std::size_t kChurnTopK = 32;
 
   MonitorLoop(SimNetwork& net, EventBus& bus, runtime::Executor& executor);
   MonitorLoop(SimNetwork& net, EventBus& bus, runtime::Executor& executor,
@@ -148,24 +149,16 @@ class MonitorLoop {
   }
   [[nodiscard]] IncrementalChecker::Stats checker_stats() const;
 
-  // Bridge the latest checker/bus/arena values into the registry and
-  // return a merged snapshot (empty when no registry is attached).
+  // The registry's snapshot with the owners' series (bus, ring, checker,
+  // arenas, churn, gray faults, TCAM evictions) read at this instant and
+  // merged in name order; empty when no registry is attached. Call it
+  // between drains, like MetricsRegistry::snapshot().
   [[nodiscard]] telemetry::MetricsSnapshot snapshot_metrics();
-
-  // Snapshots taken by the snapshot_every_batches cadence.
-  [[nodiscard]] const std::vector<telemetry::MetricsSnapshot>&
-  periodic_snapshots() const noexcept {
-    SerialGuard g{serial_};
-    return periodic_snapshots_;
-  }
 
  private:
   std::size_t ingest_ring_events() SCOUT_REQUIRES(serial_);
   void register_metrics() SCOUT_REQUIRES(serial_);
-  // Fold the delta since the last bridge of every polled counter source
-  // (checker stats, bus stats, arena totals) into the registry.
-  void bridge_counters() SCOUT_REQUIRES(serial_);
-  void update_churn_gauges() SCOUT_REQUIRES(serial_);
+  void observe_health() SCOUT_REQUIRES(serial_);
   [[nodiscard]] LocalizationResult localize_impl(const FabricCheck& check)
       const SCOUT_REQUIRES(serial_);
   void observe_incident(const MonitorVerdict& verdict,
@@ -175,7 +168,7 @@ class MonitorLoop {
                      std::span<const StreamEvent> events, SimTime sim_now,
                      bool failing) SCOUT_REQUIRES(serial_);
 
-  // Driver-phase capability: the monitor's cursor/batch/bridge state is
+  // Driver-phase capability: the monitor's cursor/batch/health state is
   // mutated only between executor runs, by the one thread driving the
   // loop. Workers touch the checker's shards, never these members. Debug
   // builds abort if a second thread enters (common/mutex.h).
@@ -199,60 +192,6 @@ class MonitorLoop {
   telemetry::Histogram sim_latency_ms_;
   telemetry::Histogram drain_ms_;
   telemetry::Histogram batch_events_;
-  telemetry::Gauge bus_backlog_;
-  telemetry::Gauge bus_cursor_lag_;
-  // Bridged-counter handles, registered once — bridge_counters() runs per
-  // drain and must not pay name lookups there.
-  telemetry::Counter bus_published_;
-  telemetry::Counter bus_compactions_;
-  telemetry::Counter bus_compacted_events_;
-  telemetry::Counter initial_builds_;
-  telemetry::Counter events_applied_;
-  telemetry::Counter incremental_updates_;
-  telemetry::Counter full_rebuilds_;
-  telemetry::Counter epoch_rebuilds_;
-  telemetry::Counter threshold_trips_;
-  telemetry::Counter unsafe_rebuilds_;
-  telemetry::Counter overflow_resyncs_;
-  telemetry::Counter diff_recomputes_;
-  telemetry::Counter verdicts_reused_;
-  // Concurrent-publish instrumentation, registered only when the bus has a
-  // ring attached at construction time.
-  telemetry::Counter bus_ingested_;
-  telemetry::Counter bus_resyncs_synthesized_;
-  telemetry::Counter ring_published_;
-  telemetry::Counter ring_drained_;
-  telemetry::Counter ring_evictions_;
-  telemetry::Counter ring_full_stalls_;
-  telemetry::Gauge ring_occupancy_;
-  telemetry::Gauge ring_high_water_;
-  std::vector<telemetry::Gauge> ring_lag_gauges_;  // per publisher shard
-  telemetry::Gauge arena_nodes_;
-  telemetry::Gauge arena_peak_nodes_;
-  telemetry::Gauge arena_rollbacks_;
-  telemetry::Gauge unique_load_;
-  telemetry::Gauge cache_hit_rate_;
-  telemetry::Gauge resident_switches_;
-  // Top-K live churn series, registered lazily as switches enter the top
-  // set (keyed by raw switch id); churn_other_ rolls up everything else.
-  // A switch that drops out of the top set has its gauge zeroed, not
-  // unregistered — registry names are interned for the process lifetime.
-  std::unordered_map<std::uint32_t, telemetry::Gauge> churn_gauges_by_sw_;
-  telemetry::Gauge churn_other_gauge_;
-  // Fault-engine activity: gray rendering-layer counters plus one eviction
-  // counter per agent, named "tcam.evictions.<policy>" so distinct
-  // policies surface as distinct series (agents on the same policy fold
-  // into one counter via the registry's name interning).
-  telemetry::Counter gray_misrenders_counter_;
-  telemetry::Counter gray_drops_counter_;
-  std::vector<telemetry::Counter> eviction_counters_;  // agent order
-  // Last bridged values for delta-folding cumulative sources.
-  IncrementalChecker::Stats bridged_checker_ SCOUT_GUARDED_BY(serial_){};
-  EventBus::Stats bridged_bus_ SCOUT_GUARDED_BY(serial_){};
-  MpscRing::Stats bridged_ring_ SCOUT_GUARDED_BY(serial_){};
-  std::uint64_t bridged_gray_misrenders_ SCOUT_GUARDED_BY(serial_) = 0;
-  std::uint64_t bridged_gray_drops_ SCOUT_GUARDED_BY(serial_) = 0;
-  std::vector<std::uint64_t> bridged_evictions_ SCOUT_GUARDED_BY(serial_);
   // Health-engine inputs: lifetime event totals and the count of events
   // whose event→verdict wall latency exceeded the detection budget.
   std::uint64_t events_total_ SCOUT_GUARDED_BY(serial_) = 0;
@@ -266,9 +205,6 @@ class MonitorLoop {
   // while any shard's reader still precedes it (the multi-cursor
   // compaction boundary).
   std::vector<EventBus::ReaderId> readers_ SCOUT_GUARDED_BY(serial_);
-
-  std::vector<telemetry::MetricsSnapshot> periodic_snapshots_
-      SCOUT_GUARDED_BY(serial_);
 
   // localize() cache: the controller risk model of compiled epoch
   // risk_model_epoch_, its failure marks from the latest call.

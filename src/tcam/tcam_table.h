@@ -97,8 +97,8 @@ class TcamTable {
   [[nodiscard]] std::string_view eviction_policy_name() const noexcept;
 
   // Lifetime count of successful evictions (telemetry feed; monotone, not
-  // rolled back by repair). Relaxed-atomic so the monitor's metrics bridge
-  // can read it while a pinned publisher thread is still evicting.
+  // rolled back by repair). Relaxed-atomic so the monitor's metrics
+  // snapshot can read it while a pinned publisher thread is still evicting.
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
   }

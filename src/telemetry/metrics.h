@@ -1,6 +1,13 @@
-// Thread-sharded metrics registry: the one source of truth for counters,
-// gauges and latency histograms across the detect -> localize -> remediate
-// pipeline, the benches and scoutctl.
+// Thread-sharded metrics registry: counters, gauges and latency histograms
+// across the detect -> localize -> remediate pipeline, the benches and
+// scoutctl.
+//
+// One copy per metric: the registry holds what no other object counts.
+// Subsystems that keep their own lifetime counts (event bus, MPSC ring,
+// incremental checker, BDD arenas, agents) are not mirrored into it. A
+// registry attached to a stream::MonitorLoop is therefore read through
+// MonitorLoop::snapshot_metrics(), which merges those owners' series into
+// this registry's snapshot at the snapshot instant.
 //
 // Design:
 //  * Registration is locked, recording is not. Register-or-fetch takes the

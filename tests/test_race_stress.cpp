@@ -3,9 +3,10 @@
 // interleavings the thread-safety annotations claim to rule out —
 // submit/wait/destroy races on the sharded pool, cross-thread submitters,
 // worker-cache traffic under a live executor, and the event-bus-under-
-// monitor pipeline with periodic snapshots taken at every quiescent point.
+// monitor pipeline with a metrics snapshot taken at every quiescent point.
 // Under plain builds they pin the functional contracts; under
 // -fsanitize=thread they are the race detectors' corpus.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <stdexcept>
@@ -18,7 +19,10 @@
 #include "src/runtime/result_sink.h"
 #include "src/runtime/thread_pool.h"
 #include "src/scout/experiment.h"
+#include "src/scout/sim_network.h"
+#include "src/stream/churn_generator.h"
 #include "src/stream/event_bus.h"
+#include "src/stream/monitor_loop.h"
 #include "src/stream/mpsc_ring.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
@@ -235,31 +239,56 @@ TEST(RaceStress, FlightLanesRecordConcurrently) {
 
 // -- EventBus under the monitor: the full pipeline at 4 workers --------------
 
-TEST(RaceStress, MonitorPipelineWithPeriodicSnapshotsAt4Workers) {
-  // End-to-end: churn -> bus -> incremental monitor fanning shards over 4
-  // workers, telemetry on, a metrics snapshot forced after *every* batch.
-  // Each snapshot lands at a quiescent point (after the executor join), a
-  // contract the registry now enforces by aborting otherwise; under TSan
-  // this is the telemetry shard -> snapshot handoff certification.
-  MonitoringOptions options;
-  options.profile = GeneratorProfile::scaled(8);
-  options.profile.target_pairs = 8 * 30;
-  options.events = 120;
-  options.batch_ops = 10;
-  options.seed = 77;
-  options.collect_telemetry = true;
-  options.collect_flight = true;
-  options.snapshot_every_batches = 1;
-  options.localize_final = false;
+TEST(RaceStress, MonitorSnapshotsAfterEveryDrainAt4Workers) {
+  // End-to-end: churn from 2 ring publishers -> bus -> incremental monitor
+  // fanning shards over 4 workers onto a flight recorder, with
+  // snapshot_metrics() after *every* drain. Each snapshot lands at a
+  // quiescent point (after the executor join and the publishers' phase), a
+  // contract the registry enforces by aborting otherwise; under TSan this
+  // certifies the handoff from the shard-local registry slots and from
+  // the owners' counters (checker shards, ring, TCAMs) to the snapshot.
+  GeneratorProfile profile = GeneratorProfile::scaled(8);
+  profile.target_pairs = 8 * 30;
+  Rng net_rng{77};
+  GeneratedNetwork generated = generate_network(profile, net_rng);
+  SimNetwork net{std::move(generated.fabric), std::move(generated.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  std::size_t sw_bound = 0;
+  for (const auto& agent : net.agents()) {
+    sw_bound = std::max<std::size_t>(sw_bound, agent->id().value() + 1);
+  }
+  stream::MpscRing ring{2, sw_bound};
+  bus.attach_ring(&ring);
 
   runtime::ThreadPoolExecutor executor{4};
-  const MonitoringReport report =
-      run_continuous_monitoring(options, executor);
-  EXPECT_GE(report.events, options.events);
-  EXPECT_GT(report.batches, 0u);
-  EXPECT_EQ(report.periodic_snapshot_count, report.batches);
-  EXPECT_EQ(report.telemetry.counter("stream.batches"), report.batches);
-  EXPECT_FALSE(report.trace_json.empty());
+  telemetry::MetricsRegistry registry{executor.workers()};
+  telemetry::FlightRecorder flight{{.lanes = executor.workers() + 1}};
+  stream::MonitorLoop::Options options;
+  options.metrics = &registry;
+  options.flight = &flight;
+  stream::MonitorLoop monitor{net, bus, executor, options};
+  monitor.prime();
+  stream::ConcurrentChurnDriver driver{
+      net, bus, 77, stream::ConcurrentChurnDriver::Options{.publishers = 2}};
+
+  std::uint64_t drained = 0;
+  for (std::uint64_t batch = 1; batch <= 12; ++batch) {
+    (void)driver.pump(10);
+    drained += monitor.drain().events;
+    const telemetry::MetricsSnapshot snap = monitor.snapshot_metrics();
+    EXPECT_EQ(snap.counter("stream.batches"), batch);
+    EXPECT_EQ(snap.counter("stream.events_drained"), drained);
+    EXPECT_EQ(snap.counter("stream.events_applied"),
+              monitor.checker_stats().events_applied);
+    EXPECT_LE(snap.counter("stream.events_applied"), drained);
+  }
+  EXPECT_GT(drained, 0u);
+  EXPECT_GT(flight.total_recorded(), 0u);
+  driver.stop();
+  bus.attach_ring(nullptr);
 }
 
 TEST(RaceStress, MonitorVerdictsIdenticalAcrossRepeatedParallelRuns) {

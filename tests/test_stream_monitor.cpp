@@ -226,6 +226,53 @@ TEST(StreamMonitor, EventCountAndLatencyAccounting) {
   EXPECT_GE(sim.max(), 0.0);
 }
 
+// A churn interval can publish nothing: a single control op that records
+// a benign change or flips an undetected bit. The phased loop must pump
+// on instead of ending the run there; stopping at the first such interval
+// verifies 1 event of 3000 on this fabric.
+TEST(StreamMonitor, SilentChurnIntervalsDoNotEndTheRun) {
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(4);
+  options.events = 3000;
+  options.batch_ops = 1;
+  options.seed = 13;
+  options.localize_final = false;
+  runtime::SerialExecutor executor;
+  const MonitoringReport report =
+      run_continuous_monitoring(options, executor);
+  EXPECT_GE(report.events, options.events);
+  // Some intervals were silent: they were pumped but not drained.
+  EXPECT_GT(report.churn_ops, report.batches);
+}
+
+// Evict-only churn empties every TCAM, after which no interval publishes
+// anything: the run must still end, with the verdicts it had.
+TEST(StreamMonitor, ExhaustedEvictOnlyChurnStillEndsTheRun) {
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(4);
+  options.profile.target_pairs = 20;
+  options.events = 3000;
+  options.batch_ops = 12;
+  options.seed = 41;
+  options.localize_final = false;
+  options.mix.evict = 1.0;
+  options.mix.corrupt = 0.0;
+  options.mix.resync = 0.0;
+  options.mix.crash = 0.0;
+  options.mix.recover = 0.0;
+  options.mix.channel_flap = 0.0;
+  options.mix.benign_change = 0.0;
+  options.mix.migrate = 0.0;
+  runtime::SerialExecutor executor;
+  const MonitoringReport report =
+      run_continuous_monitoring(options, executor);
+  EXPECT_LT(report.events, options.events);
+  EXPECT_GT(report.batches, 0u);
+  // More than one silent interval was pumped before giving up.
+  EXPECT_GT(report.churn_ops, (report.batches + 1) * options.batch_ops);
+  EXPECT_FALSE(report.final_check.inconsistent.empty());
+}
+
 // Every published event carries both clock stamps; each must be
 // monotonically non-decreasing in publish order, so event-to-detection
 // latencies are well-defined in either clock without mixing them.

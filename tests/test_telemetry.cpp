@@ -1,16 +1,24 @@
 // Telemetry subsystem: registry handle semantics, shard-merge exactness,
+// the monitor's series read from their owners at snapshot time,
 // worker-count invariance of the deterministic "stream." counters, the
 // monitor's spans on the flight ring and their bounded Chrome export, the
 // health engine's grades, and the export formats CI validates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/faults/fault_policy.h"
+#include "src/faults/gray_faults.h"
 #include "src/scout/experiment.h"
+#include "src/scout/sim_network.h"
+#include "src/stream/churn_generator.h"
+#include "src/stream/monitor_loop.h"
+#include "src/stream/mpsc_ring.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/health.h"
 #include "src/telemetry/metrics.h"
@@ -150,55 +158,166 @@ TEST(Metrics, PrometheusExpositionConformance) {
   }
 }
 
-// Satellite: per-switch churn gauges are capped at the K busiest switches
-// with the remainder conserved in stream.churn.other — cardinality stays
-// O(K), not O(fabric), and nothing is silently dropped.
+// Per-switch churn gauges are capped at the kChurnTopK busiest switches
+// with the remainder conserved in stream.churn.other: cardinality stays
+// O(K), not O(fabric), and nothing is silently dropped. On the serial
+// transport every applied event is a TCAM delta, so the series sum to
+// stream.events_applied.
 TEST(Telemetry, ChurnGaugeCardinalityCappedWithConservation) {
   MonitoringOptions options;
-  options.profile = GeneratorProfile::scaled(16);
-  options.profile.target_pairs = 16 * 30;
-  options.events = 200;
-  options.batch_ops = 12;
+  options.profile = GeneratorProfile::scaled(40);
+  options.profile.target_pairs = 40 * 10;
+  // Small intervals over many drains spread the churn past 32 switches.
+  options.events = 10000;
+  options.batch_ops = 8;
   options.seed = 21;
   options.localize_final = false;
   runtime::SerialExecutor executor;
+  const MonitoringReport report = run_continuous_monitoring(options, executor);
+  const MetricsSnapshot& snap = report.telemetry;
 
-  auto churn_sum = [](const MetricsSnapshot& snap) {
-    double total = 0;
-    for (const auto& g : snap.gauges) {
-      if (g.name.rfind("stream.churn.sw", 0) == 0 ||
-          g.name == "stream.churn.other") {
-        total += g.value;
-      }
+  std::size_t series = 0;
+  double total = 0;
+  for (const auto& g : snap.gauges) {
+    if (g.name.rfind("stream.churn.sw", 0) == 0) {
+      ++series;
+      total += g.value;
     }
-    return total;
-  };
-  auto nonzero_sw_gauges = [](const MetricsSnapshot& snap) {
-    std::size_t n = 0;
-    for (const auto& g : snap.gauges) {
-      if (g.name.rfind("stream.churn.sw", 0) == 0 && g.value > 0) ++n;
+  }
+  EXPECT_EQ(series, stream::MonitorLoop::kChurnTopK);
+  EXPECT_GT(snap.gauge("stream.churn.other"), 0.0);
+  EXPECT_GT(total, snap.gauge("stream.churn.other"));
+  EXPECT_DOUBLE_EQ(total + snap.gauge("stream.churn.other"),
+                   static_cast<double>(snap.counter("stream.events_applied")));
+}
+
+// The monitor's snapshot reads each owner's lifetime counts at the
+// snapshot instant instead of mirroring them into the registry, so every
+// owner series must equal its owner, and each name must appear once.
+// Driven over a 2-publisher ring small enough to evict, with gray faults
+// and the fifo eviction policy on every agent.
+TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
+  GeneratorProfile profile = GeneratorProfile::scaled(8);
+  profile.target_pairs = 8 * 30;
+  Rng net_rng{5};
+  GeneratedNetwork generated = generate_network(profile, net_rng);
+  SimNetwork net{std::move(generated.fabric), std::move(generated.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  GrayFaultProfile gray;
+  gray.misrender_rate = 0.3;
+  gray.misrender_burst = 3;
+  gray.drop_rate = 0.15;
+  gray.drop_burst = 2;
+  std::size_t sw_bound = 0;
+  for (const auto& agent : net.agents()) {
+    agent->set_gray_profile(gray, agent->id().value());
+    agent->tcam().set_eviction_policy(make_eviction_policy("fifo"));
+    sw_bound = std::max<std::size_t>(sw_bound, agent->id().value() + 1);
+  }
+  stream::MpscRing::Options ring_options;
+  ring_options.shard_capacity = 8;
+  ring_options.on_full = stream::MpscRing::FullPolicy::kEvictToResync;
+  stream::MpscRing ring{2, sw_bound, ring_options};
+  bus.attach_ring(&ring);
+
+  runtime::SerialExecutor executor;
+  MetricsRegistry registry{executor.workers()};
+  stream::MonitorLoop::Options monitor_options;
+  monitor_options.metrics = &registry;
+  stream::MonitorLoop monitor{net, bus, executor, monitor_options};
+  monitor.prime();
+  stream::ConcurrentChurnDriver driver{
+      net, bus, 11, stream::ConcurrentChurnDriver::Options{.publishers = 2}};
+
+  // Checked after each churn interval (its events published but not yet
+  // drained or compacted) and again after the drain.
+  stream::EventBus::Cursor monitor_cursor = bus.cursor();
+  const auto expect_owner_reads = [&](const MetricsSnapshot& snap) {
+    const stream::EventBus::Stats b = bus.stats();
+    EXPECT_EQ(snap.counter("stream.bus_published"), b.published);
+    EXPECT_EQ(snap.counter("stream.bus_compactions"), b.compactions);
+    EXPECT_EQ(snap.counter("stream.bus_compacted_events"),
+              b.compacted_events);
+    EXPECT_EQ(snap.counter("stream.bus_ingested"), b.ingested);
+    EXPECT_EQ(snap.counter("stream.bus_resyncs_synthesized"),
+              b.resyncs_synthesized);
+    EXPECT_EQ(snap.gauge("stream.bus_backlog"),
+              static_cast<double>(bus.retained()));
+    EXPECT_EQ(snap.gauge("stream.bus_cursor_lag"),
+              static_cast<double>(bus.cursor() - monitor_cursor));
+
+    const stream::MpscRing::Stats r = ring.stats();
+    EXPECT_EQ(snap.counter("stream.ring_published"), r.published);
+    EXPECT_EQ(snap.counter("stream.ring_drained"), r.drained);
+    EXPECT_EQ(snap.counter("stream.ring_evictions"), r.evictions);
+    EXPECT_EQ(snap.counter("stream.ring_full_stalls"), r.full_stalls);
+    EXPECT_EQ(snap.gauge("stream.ring_high_water"),
+              static_cast<double>(ring.high_water()));
+    EXPECT_EQ(snap.gauge("stream.ring_occupancy"),
+              static_cast<double>(ring.occupancy()));
+    for (std::size_t p = 0; p < ring.publishers(); ++p) {
+      EXPECT_EQ(snap.gauge("stream.ring.lag.pub" + std::to_string(p)),
+                static_cast<double>(ring.published_cursor(p) -
+                                    ring.drained_cursor(p)));
     }
-    return n;
+
+    const stream::IncrementalChecker::Stats c = monitor.checker_stats();
+    EXPECT_EQ(snap.counter("stream.initial_builds"), c.initial_builds);
+    EXPECT_EQ(snap.counter("stream.events_applied"), c.events_applied);
+    EXPECT_EQ(snap.counter("stream.incremental_updates"),
+              c.incremental_updates);
+    EXPECT_EQ(snap.counter("stream.full_rebuilds"), c.full_rebuilds);
+    EXPECT_EQ(snap.counter("stream.epoch_rebuilds"), c.epoch_rebuilds);
+    EXPECT_EQ(snap.counter("stream.threshold_trips"), c.threshold_trips);
+    EXPECT_EQ(snap.counter("stream.unsafe_rebuilds"), c.unsafe_rebuilds);
+    EXPECT_EQ(snap.counter("stream.overflow_resyncs"), c.overflow_resyncs);
+    EXPECT_EQ(snap.counter("stream.diff_recomputes"), c.diff_recomputes);
+    EXPECT_EQ(snap.counter("stream.verdicts_reused"), c.verdicts_reused);
+
+    std::uint64_t evictions = 0;
+    std::uint64_t misrenders = 0;
+    std::uint64_t drops = 0;
+    for (const auto& agent : net.agents()) {
+      evictions += agent->tcam().evictions();
+      misrenders += agent->gray_misrenders();
+      drops += agent->gray_drops();
+    }
+    EXPECT_EQ(snap.counters_with_prefix("tcam.evictions.").size(), 1u);
+    EXPECT_EQ(snap.counter("tcam.evictions.fifo"), evictions);
+    EXPECT_EQ(snap.counter("faults.gray.misrenders"), misrenders);
+    EXPECT_EQ(snap.counter("faults.gray.drops"), drops);
+
+    // One copy per name, in name order.
+    for (std::size_t i = 1; i < snap.counters.size(); ++i) {
+      EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
+    }
+    for (std::size_t i = 1; i < snap.gauges.size(); ++i) {
+      EXPECT_LT(snap.gauges[i - 1].name, snap.gauges[i].name);
+    }
   };
-
-  MonitoringOptions capped = options;
-  capped.churn_top_k = 4;
-  const MonitoringReport small = run_continuous_monitoring(capped, executor);
-  EXPECT_LE(nonzero_sw_gauges(small.telemetry), 4u);
-
-  MonitoringOptions uncapped = options;
-  uncapped.churn_top_k = 1024;  // larger than any fabric here
-  const MonitoringReport big = run_continuous_monitoring(uncapped, executor);
-  EXPECT_DOUBLE_EQ(big.telemetry.gauge("stream.churn.other"), 0.0);
-  EXPECT_GT(nonzero_sw_gauges(big.telemetry), 4u);
-
-  // Same seed, same churn: top-K + other must conserve the total.
-  EXPECT_DOUBLE_EQ(churn_sum(small.telemetry), churn_sum(big.telemetry));
-  EXPECT_GT(churn_sum(small.telemetry), 0.0);
-  EXPECT_GT(small.telemetry.gauge("stream.churn.other"), 0.0);
-  // The capped run's digest is the uncapped run's digest: gauge
-  // cardinality is pure telemetry.
-  EXPECT_EQ(small.verdict_digest, big.verdict_digest);
+  for (int interval = 0; interval < 12; ++interval) {
+    (void)driver.pump(24);
+    expect_owner_reads(monitor.snapshot_metrics());
+    monitor_cursor = monitor.drain().last_seq;
+    expect_owner_reads(monitor.snapshot_metrics());
+  }
+  // The run reached every owner path the series read.
+  const MetricsSnapshot last = monitor.snapshot_metrics();
+  EXPECT_GT(last.counter("stream.ring_evictions"), 0u);
+  EXPECT_GT(last.counter("stream.overflow_resyncs"), 0u);
+  EXPECT_GT(last.counter("tcam.evictions.fifo"), 0u);
+  EXPECT_GT(last.counter("faults.gray.misrenders"), 0u);
+  EXPECT_GT(last.counter("faults.gray.drops"), 0u);
+  EXPECT_GT(last.gauge("bdd.arena_nodes"), 0.0);
+  EXPECT_EQ(last.counter("stream.batches"), 12u);
+  // The registry holds none of the owners' series itself.
+  EXPECT_EQ(registry.snapshot().counters_with_prefix("stream.ring").size(),
+            0u);
+  driver.stop();
+  bus.attach_ring(nullptr);
 }
 
 TEST(Metrics, ExportFormats) {
@@ -263,9 +382,6 @@ TEST(Telemetry, MonitorFlightSpansNestAndExport) {
   options.seed = 9;
   options.localize_final = false;
   options.collect_flight = true;
-  // One churn interval publishes far more than 60 events on this fabric
-  // (its control ops republish whole switches), so the run is one batch.
-  options.snapshot_every_batches = 1;
   runtime::SerialExecutor executor;
   const MonitoringReport report =
       run_continuous_monitoring(options, executor);
@@ -278,7 +394,6 @@ TEST(Telemetry, MonitorFlightSpansNestAndExport) {
   EXPECT_NE(report.trace_json.find("\"prime\""), std::string::npos);
   EXPECT_NE(report.trace_json.find("\"drain\""), std::string::npos);
   EXPECT_NE(report.trace_json.find("\"metrics\""), std::string::npos);
-  EXPECT_GT(report.periodic_snapshot_count, 0u);
 }
 
 // The ring bounds trace memory: a 4-worker run records far more entries
