@@ -38,8 +38,8 @@
 //                  (Prometheus text format, or JSON with --json): the
 //                  registry's series plus the bus, ring, checker, arena
 //                  and agent counts MonitorLoop::snapshot_metrics() reads
-//                  at the end of the run, and the health/SLO engine's
-//                  health.* gauges
+//                  at the end of the run, and the health.* grades it
+//                  computes from those counts
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -99,8 +99,7 @@ MonitoringReport run_monitor_scenario(std::uint64_t seed, std::size_t events,
                                       bool full, bool remediate,
                                       bool want_trace,
                                       const FaultFlags& faults = {},
-                                      const ObsFlags& obs = {},
-                                      bool collect_health = false) {
+                                      const ObsFlags& obs = {}) {
   MonitoringOptions options;
   options.profile = GeneratorProfile::scaled(16);
   options.profile.target_pairs = 16 * 60;
@@ -114,7 +113,6 @@ MonitoringReport run_monitor_scenario(std::uint64_t seed, std::size_t events,
   options.collect_incidents = !obs.incidents_path.empty();
   options.collect_flight = want_trace || !obs.flight_path.empty();
   options.flight_dump_path = obs.flight_path;
-  options.collect_health = collect_health;
   runtime::SerialExecutor executor;
   return run_continuous_monitoring(options, executor);
 }
@@ -134,8 +132,7 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
                 const FaultFlags& faults, const ObsFlags& obs) {
   const MonitoringReport report =
       run_monitor_scenario(seed, events, full, remediate,
-                           !telemetry_path.empty(), faults, obs,
-                           /*collect_health=*/obs.any());
+                           !telemetry_path.empty(), faults, obs);
   const telemetry::MetricsSnapshot& snap = report.telemetry;
   const FabricCheck& final_check = report.final_check;
   std::cout << "mode            : "
@@ -216,12 +213,9 @@ int run_monitor(std::uint64_t seed, std::size_t events, bool full,
 }
 
 int run_stats(std::uint64_t seed, std::size_t events, bool full, bool json) {
-  // Stats always runs with the health engine attached so the snapshot
-  // carries the health.* grade gauges alongside the raw series.
-  const MonitoringReport report = run_monitor_scenario(
-      seed, events, full, /*remediate=*/false,
-      /*want_trace=*/false, /*faults=*/{}, /*obs=*/{},
-      /*collect_health=*/true);
+  const MonitoringReport report =
+      run_monitor_scenario(seed, events, full, /*remediate=*/false,
+                           /*want_trace=*/false);
   if (json) {
     std::cout << report.telemetry.to_json() << '\n';
   } else {

@@ -55,20 +55,6 @@ LogicalBddCache::Stats LogicalBddCache::stats() const {
   return s;
 }
 
-void LogicalBddCache::record_diagnostics(
-    runtime::BenchRecorder& recorder) const {
-  const Stats s = stats();
-  recorder.add_row(
-      {{"bdd_arena_builds", static_cast<double>(s.arena_builds)},
-       {"bdd_logical_builds", static_cast<double>(s.logical_builds)},
-       {"bdd_logical_hits", static_cast<double>(s.logical_hits)},
-       {"bdd_resident_switches", static_cast<double>(s.resident_switches)},
-       {"bdd_nodes", static_cast<double>(s.nodes)},
-       {"bdd_unique_load", s.unique_load},
-       {"bdd_cache_hit_rate", s.cache_hit_rate},
-       {"bdd_rollbacks", static_cast<double>(s.rollbacks)}});
-}
-
 void LogicalBddCache::export_metrics(
     telemetry::MetricsRegistry& registry) const {
   const Stats s = stats();

@@ -80,10 +80,6 @@ class LogicalBddCache {
   };
   [[nodiscard]] Stats stats() const;
 
-  // Append one diagnostics row (bdd_arena_builds / bdd_logical_hits /
-  // bdd_unique_load / bdd_cache_hit_rate / ...) to a bench recorder.
-  void record_diagnostics(runtime::BenchRecorder& recorder) const;
-
   // Publish the same counters as "bdd.*" gauges into a metrics registry —
   // the path the benches snapshot so BENCH_bdd.json keys come from the
   // telemetry subsystem rather than bench-private reads.

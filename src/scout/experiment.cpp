@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "src/common/hash.h"
-#include "src/common/json_writer.h"
 #include "src/common/logging.h"
 #include "src/common/stats.h"
 #include "src/faults/fault_injector.h"
@@ -29,7 +28,6 @@
 #include "src/stream/incident.h"
 #include "src/stream/monitor_loop.h"
 #include "src/telemetry/flight_recorder.h"
-#include "src/telemetry/health.h"
 
 namespace scout {
 namespace {
@@ -205,7 +203,7 @@ struct SweepCacheAccess {
       }
       cache->slots_.note_miss(worker);
       const auto t0 = Clock::now();
-      auto built = build(profile, net_seed, cache->verify_repairs());
+      auto built = build(profile, net_seed, /*with_baseline=*/true);
       diag.setup_seconds += seconds_since(t0);
       ++diag.network_builds;
       return *cache->slots_.store(worker, key, std::move(built));
@@ -236,8 +234,7 @@ struct SweepCacheAccess {
     entry.journal.repair(*entry.net);
     diag.setup_seconds += seconds_since(t0);
     ++diag.network_repairs;
-    if (cache.verify_repairs() &&
-        entry.net->state_fingerprint() != entry.baseline_fingerprint) {
+    if (entry.net->state_fingerprint() != entry.baseline_fingerprint) {
       ++cache.verify_failures_.local(worker);
       cache.slots_.invalidate(worker);  // `entry` is dead past this line
     }
@@ -808,7 +805,6 @@ struct MonitoringRig {
   std::unique_ptr<telemetry::MetricsRegistry> registry;
   std::unique_ptr<stream::IncidentBuilder> incidents;
   std::unique_ptr<telemetry::FlightRecorder> flight;
-  std::unique_ptr<telemetry::HealthEngine> health;
   std::unique_ptr<stream::ConcurrentChurnDriver> driver;
 
   [[nodiscard]] stream::MonitorLoop::Options monitor_options(
@@ -820,7 +816,6 @@ struct MonitoringRig {
     mopts.incidents = incidents.get();
     mopts.flight = flight.get();
     mopts.flight_dump_path = options.flight_dump_path;
-    mopts.health = health.get();
     return mopts;
   }
 };
@@ -855,17 +850,12 @@ MonitoringRig make_rig(const MonitoringOptions& options, SimNetwork& net,
         std::make_unique<telemetry::MetricsRegistry>(executor.workers());
   }
   if (ledger != nullptr) {
-    rig.incidents =
-        std::make_unique<stream::IncidentBuilder>(ledger, rig.registry.get());
+    rig.incidents = std::make_unique<stream::IncidentBuilder>(ledger);
   }
   if (options.collect_flight) {
     // Lane 0 for the driver, one per checker shard (MonitorLoop checks).
     rig.flight = std::make_unique<telemetry::FlightRecorder>(
         telemetry::FlightRecorder::Options{.lanes = executor.workers() + 1});
-  }
-  if (options.collect_health) {
-    rig.health = std::make_unique<telemetry::HealthEngine>(
-        telemetry::HealthEngine::Options{}, rig.registry.get());
   }
   rig.driver = std::make_unique<stream::ConcurrentChurnDriver>(
       net, bus, derive_seed(options.seed, 0xCE),
@@ -1022,11 +1012,6 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
     rig.incidents->finalize(report.batches, net.clock().now());
     report.incident_totals = rig.incidents->totals();
     report.incident_json = rig.incidents->to_json();
-  }
-  if (rig.health != nullptr) {
-    JsonWriter hw;
-    rig.health->write_json(hw);
-    report.health_json = hw.str();
   }
 
   const FabricCheck& last = report.final_check;

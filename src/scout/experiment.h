@@ -43,6 +43,13 @@ namespace scout {
 // therefore unchanged — cached, uncached, serial and multi-threaded sweeps
 // all memcmp-equal, which tests/test_network_repair.cpp pins.
 //
+// Every repair is verified against the baseline fingerprint, and a
+// diverged entry is dropped (the next cell rebuilds). The fingerprint
+// covers the *whole* observable state, immutable compiled/logical parts
+// included, which is what catches out-of-domain mutations (policy edits,
+// live pushes) that TCAM-only hashing could miss. It costs one full hash
+// per cell (~3 ms at fig8 scale, vs the ~45 ms build it replaces).
+//
 // A slot holds one entry, keyed by (profile, network seed): sweeping a
 // different profile on the same cache rebuilds instead of repairing.
 
@@ -61,19 +68,6 @@ class SweepNetworkCache {
 
   [[nodiscard]] std::size_t workers() const noexcept;
 
-  // Verify every repair against the baseline fingerprint, dropping the
-  // entry (next cell rebuilds) on divergence. The digest deliberately
-  // covers the *whole* observable state, immutable compiled/logical parts
-  // included — that is what catches out-of-domain mutations (policy
-  // edits, live pushes) that TCAM-only hashing could miss. One full hash
-  // per cell (~3 ms at fig8 scale, vs the ~45 ms build it replaces; the
-  // measured x13 setup saving includes it), so it defaults to on; perf
-  // benches may switch it off once trust is established.
-  void set_verify_repairs(bool verify) noexcept { verify_repairs_ = verify; }
-  [[nodiscard]] bool verify_repairs() const noexcept {
-    return verify_repairs_;
-  }
-
   struct Stats {
     std::size_t builds = 0;   // cold slots + profile switches
     std::size_t repairs = 0;  // cells served from a repaired network
@@ -91,7 +85,6 @@ class SweepNetworkCache {
   friend struct SweepCacheAccess;
   runtime::WorkerCache<std::unique_ptr<Entry>> slots_;
   runtime::WorkerLocal<std::size_t> verify_failures_;
-  bool verify_repairs_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ struct MonitoringOptions {
   // Delayed/reordered control-channel delivery window (gray channel);
   // 0 = immediate delivery.
   std::size_t delivery_window = 0;
-  // -- incident provenance / flight recorder / health -----------------------
+  // -- incident provenance / flight recorder ---------------------------------
   // Correlate failing verdicts with fault-engine cause stamps into
   // Incident records (stream/incident.h): the run owns a CauseLedger,
   // attaches it to every fault engine and feeds an IncidentBuilder from
@@ -343,9 +336,6 @@ struct MonitoringOptions {
   // dumped on every clean→failing verdict transition.
   bool collect_flight = false;
   std::string flight_dump_path;
-  // Grade the monitor's cumulative counters against SLO thresholds
-  // (telemetry/health.h) and export health.* gauges.
-  bool collect_health = false;
   // Storm split mode: an episode's damage and heal split across two
   // consecutive cadence ticks instead of self-healing atomically, so
   // failing verdicts can observe storm damage (incident-provenance legs).
@@ -391,7 +381,6 @@ struct MonitoringReport {
   // telemetry snapshot embedded when collect_telemetry is on.
   std::string trace_json;
   std::string incident_json;         // scout-incidents-v1 log
-  std::string health_json;           // health engine summary
 
   // Verification throughput: events / drain_seconds.
   [[nodiscard]] double events_per_sec() const noexcept;

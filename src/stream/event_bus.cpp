@@ -95,14 +95,6 @@ void EventBus::attach_ring(MpscRing* ring) {
   }
 }
 
-void EventBus::refresh_ring_mark() {
-  SerialGuard g{serial_};
-  if (MpscRing* ring = ring_.load(std::memory_order_relaxed)) {
-    ring->set_change_log_mark(change_log_ != nullptr ? change_log_->size()
-                                                     : 0);
-  }
-}
-
 void EventBus::route_thread(const EventBus* bus, MpscRing* ring,
                             std::size_t pub) noexcept {
   t_route = PublishRoute{bus, ring, pub};
@@ -164,40 +156,6 @@ std::size_t EventBus::ingest_ring() {
   return n;
 }
 
-EventBus::ReaderId EventBus::register_reader() {
-  SerialGuard g{serial_};
-  readers_.push_back(cursor_unlocked());
-  return readers_.size() - 1;
-}
-
-void EventBus::advance_reader(ReaderId id, Cursor c) {
-  SerialGuard g{serial_};
-  SCOUT_CHECK(id < readers_.size(),
-              "EventBus::advance_reader: reader " << id << " of "
-                  << readers_.size());
-  SCOUT_CHECK(c >= readers_[id],
-              "EventBus::advance_reader: cursor moved backwards (" << c
-                  << " < " << readers_[id] << ")");
-  SCOUT_CHECK(c <= cursor_unlocked(),
-              "EventBus::advance_reader: cursor ahead of the stream");
-  readers_[id] = c;
-}
-
-EventBus::Cursor EventBus::reader_cursor(ReaderId id) const {
-  SerialGuard g{serial_};
-  SCOUT_CHECK(id < readers_.size(),
-              "EventBus::reader_cursor: reader " << id << " of "
-                  << readers_.size());
-  return readers_[id];
-}
-
-EventBus::Cursor EventBus::compaction_floor() const {
-  SerialGuard g{serial_};
-  Cursor floor = cursor_unlocked();
-  for (const Cursor r : readers_) floor = std::min(floor, r);
-  return floor;
-}
-
 std::span<const StreamEvent> EventBus::events_since(Cursor c) const {
   SerialGuard g{serial_};
   if (c < base_) {
@@ -216,9 +174,6 @@ std::span<const StreamEvent> EventBus::events_since(Cursor c) const {
 
 void EventBus::compact(Cursor c) {
   SerialGuard g{serial_};
-  // The multi-cursor compaction boundary: never reclaim an event any
-  // registered reader has yet to consume, whatever the caller asked for.
-  for (const Cursor r : readers_) c = std::min(c, r);
   if (c <= base_) return;
   const Cursor limit = cursor_unlocked();
   if (c > limit) c = limit;

@@ -17,8 +17,9 @@
 //    order. The returned span views bus storage and is invalidated by the
 //    next publish() or compact() — consumers drain, then process.
 //  * Bounded retention. compact(c) drops events below cursor c (the
-//    monitor compacts what it has drained); sequence numbers keep counting
-//    from the base offset, so cursors stay valid identities forever.
+//    monitor, the bus's one reader, compacts what it has drained once its
+//    workers have joined); sequence numbers keep counting from the base
+//    offset, so cursors stay valid identities forever.
 //  * ChangeLog layering. When bound to the controller's change log, every
 //    event is stamped with the log's size at publish time, so two cursors
 //    delimit exactly the policy actions recorded between them.
@@ -31,10 +32,6 @@
 //    call — folds the shards back into the stream, assigning dense seq at
 //    ingest and synthesizing kShadowResync events for switches the ring
 //    evicted from (see mpsc_ring.h for the backpressure story).
-//  * Multi-reader compaction boundary. Sharded consumers register one
-//    reader cursor each; compact(c) clamps to the laggiest registered
-//    reader, so no event is reclaimed while any shard cursor precedes it.
-//    With no readers registered the single-cursor behavior is unchanged.
 #pragma once
 
 #include <atomic>
@@ -81,9 +78,7 @@ class EventBus {
   // corruption must fail loudly). Valid until the next publish/compact.
   [[nodiscard]] std::span<const StreamEvent> events_since(Cursor c) const;
 
-  // Drop retained events with seq < c — c is capped at cursor() and
-  // clamped to the minimum registered reader cursor (compaction_floor()),
-  // so lagging sharded readers pin retention.
+  // Drop retained events with seq < c (c is capped at cursor()).
   void compact(Cursor c);
 
   [[nodiscard]] std::size_t retained() const noexcept {
@@ -155,23 +150,6 @@ class EventBus {
   // an attached ring.
   std::size_t ingest_ring();
 
-  // Serial-phase: restamp the ring's change-log mark from the bound log.
-  // Call at the start of a concurrent phase, after any serial log writes.
-  void refresh_ring_mark();
-
-  // -- Multi-reader compaction boundary --------------------------------------
-  //
-  // Sharded consumers register one reader each; compact(c) then clamps to
-  // the minimum registered reader cursor, so no event is reclaimed while
-  // any shard cursor precedes it. Readers start at the current cursor and
-  // must advance monotonically, never past the stream head.
-  using ReaderId = std::size_t;
-  [[nodiscard]] ReaderId register_reader();
-  void advance_reader(ReaderId id, Cursor c);
-  [[nodiscard]] Cursor reader_cursor(ReaderId id) const;
-  // min over registered reader cursors; cursor() when none registered.
-  [[nodiscard]] Cursor compaction_floor() const;
-
  private:
   Cursor publish_serial(StreamEvent ev);
 
@@ -193,8 +171,6 @@ class EventBus {
   Cursor base_ SCOUT_GUARDED_BY(serial_) = 0;
   const ChangeLog* change_log_ SCOUT_GUARDED_BY(serial_) = nullptr;
   Stats stats_ SCOUT_GUARDED_BY(serial_);
-  // Registered reader cursors (compaction clamps to their minimum).
-  std::vector<Cursor> readers_ SCOUT_GUARDED_BY(serial_);
   // Attached by the serial phase, read by publisher threads entering a
   // ConcurrentPublishCapability — hence atomic, not serial-guarded.
   std::atomic<MpscRing*> ring_{nullptr};

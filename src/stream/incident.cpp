@@ -22,27 +22,11 @@ std::string object_label(ObjectRef ref) {
 
 }  // namespace
 
-IncidentBuilder::IncidentBuilder(const CauseLedger* ledger,
-                                 telemetry::MetricsRegistry* registry)
-    : IncidentBuilder(ledger, registry, Options{}) {}
+IncidentBuilder::IncidentBuilder(const CauseLedger* ledger)
+    : IncidentBuilder(ledger, Options{}) {}
 
-IncidentBuilder::IncidentBuilder(const CauseLedger* ledger,
-                                 telemetry::MetricsRegistry* registry,
-                                 Options options)
-    : ledger_(ledger), options_(options) {
-  if (registry != nullptr) {
-    opened_counter_ = registry->counter("incident.opened");
-    closed_counter_ = registry->counter("incident.closed");
-    unattributed_counter_ = registry->counter("incident.unattributed");
-    window_dropped_counter_ = registry->counter("incident.window.dropped");
-    open_gauge_ = registry->gauge("incident.open");
-    precision_gauge_ = registry->gauge("incident.precision");
-    recall_gauge_ = registry->gauge("incident.recall");
-    detect_wall_gauge_ = registry->gauge("incident.detect_wall_ms");
-    precision_gauge_.set(1.0);
-    recall_gauge_.set(1.0);
-  }
-}
+IncidentBuilder::IncidentBuilder(const CauseLedger* ledger, Options options)
+    : ledger_(ledger), options_(options) {}
 
 void IncidentBuilder::observe_events(std::span<const StreamEvent> events) {
   for (const StreamEvent& ev : events) {
@@ -52,7 +36,6 @@ void IncidentBuilder::observe_events(std::span<const StreamEvent> events) {
       // must name; later repeats of an already-buffered cause are
       // redundant for attribution anyway.
       ++totals_.window_dropped;
-      window_dropped_counter_.add(1);
       continue;
     }
     window_.push_back(
@@ -108,10 +91,8 @@ void IncidentBuilder::open_incident(const FabricCheck& check,
             .count();
     break;
   }
-  opened_counter_.add(1);
-  open_gauge_.set(1.0);
   if (current_.detect_wall_ms >= 0) {
-    detect_wall_gauge_.set(current_.detect_wall_ms);
+    last_detect_wall_ms_ = current_.detect_wall_ms;
   }
 }
 
@@ -168,14 +149,7 @@ void IncidentBuilder::close_incident(std::uint64_t batch) {
   totals_.truth_causes += current_.truth_causes;
   totals_.matched_causes += current_.matched_causes;
   if (current_.first_cause_correct) ++totals_.first_cause_correct;
-  if (!current_.attributed()) {
-    ++totals_.unattributed_incidents;
-    unattributed_counter_.add(1);
-  }
-  closed_counter_.add(1);
-  open_gauge_.set(0.0);
-  precision_gauge_.set(totals_.precision());
-  recall_gauge_.set(totals_.recall());
+  if (!current_.attributed()) ++totals_.unattributed_incidents;
 
   if (incidents_.size() < options_.max_incidents) {
     incidents_.push_back(std::move(current_));

@@ -28,6 +28,11 @@
 // The builder is observe-only: it never touches the checker or the bus,
 // and verdict digests are computed before it runs — attaching it cannot
 // perturb a digest (tests pin bit-identity with incidents on vs off).
+//
+// Metrics. The builder keeps its counts in totals() and holds no registry
+// handles; MonitorLoop::snapshot_metrics() reads totals(), incident_open()
+// and last_detect_wall_ms() at the snapshot instant into the incident.*
+// series.
 #pragma once
 
 #include <chrono>
@@ -40,7 +45,6 @@
 #include "src/scout/scout_system.h"
 #include "src/stream/cause.h"
 #include "src/stream/event.h"
-#include "src/telemetry/metrics.h"
 
 namespace scout {
 class JsonWriter;
@@ -84,16 +88,14 @@ class IncidentBuilder {
   struct Options {
     // Cause-bearing event summaries buffered per window. On overflow the
     // oldest entries are kept (the first cause is the one that matters)
-    // and the drop is counted in incident.window.dropped.
+    // and the drop is counted in Totals::window_dropped.
     std::size_t max_window_events = 16384;
     // Retained incident records; older ones are still counted in totals.
     std::size_t max_incidents = 4096;
   };
 
-  explicit IncidentBuilder(const CauseLedger* ledger,
-                           telemetry::MetricsRegistry* registry = nullptr);
-  IncidentBuilder(const CauseLedger* ledger,
-                  telemetry::MetricsRegistry* registry, Options options);
+  explicit IncidentBuilder(const CauseLedger* ledger);
+  IncidentBuilder(const CauseLedger* ledger, Options options);
 
   // Driver-thread only, once per drain, before observe_verdict: buffer
   // the batch's cause-bearing events.
@@ -138,6 +140,11 @@ class IncidentBuilder {
   }
   [[nodiscard]] const Totals& totals() const noexcept { return totals_; }
   [[nodiscard]] bool incident_open() const noexcept { return open_; }
+  // detect_wall_ms of the latest incident that opened with one (0 before
+  // any did).
+  [[nodiscard]] double last_detect_wall_ms() const noexcept {
+    return last_detect_wall_ms_;
+  }
 
   void write_json(JsonWriter& w) const;
   [[nodiscard]] std::string to_json() const;
@@ -166,11 +173,7 @@ class IncidentBuilder {
   std::size_t next_id_ = 0;
   bool open_ = false;
   Totals totals_;
-
-  telemetry::Counter opened_counter_, closed_counter_, unattributed_counter_,
-      window_dropped_counter_;
-  telemetry::Gauge open_gauge_, precision_gauge_, recall_gauge_,
-      detect_wall_gauge_;
+  double last_detect_wall_ms_ = 0;
 };
 
 }  // namespace scout::stream

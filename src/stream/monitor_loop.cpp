@@ -52,15 +52,6 @@ MonitorLoop::MonitorLoop(SimNetwork& net, EventBus& bus,
     full_cache_ = std::make_unique<LogicalBddCache>(executor.workers());
   }
   SerialGuard g{serial_};
-  // One bus reader per checker shard (one in full-recheck mode): their
-  // cursors are the multi-cursor compaction boundary — compact() reclaims
-  // nothing a shard's reader has not passed.
-  const std::size_t reader_count =
-      options_.incremental ? checker_->shard_count() : 1;
-  readers_.reserve(reader_count);
-  for (std::size_t r = 0; r < reader_count; ++r) {
-    readers_.push_back(bus_->register_reader());
-  }
   register_metrics();
 }
 
@@ -94,24 +85,6 @@ void MonitorLoop::register_metrics() {
   executor_->set_metrics(std::move(exec_metrics));
 }
 
-void MonitorLoop::observe_health() {
-  // Lifetime totals, read from their owners. Epoch rebuilds follow
-  // planned policy pushes; the SLO grades the threshold, unsafe and
-  // overflow fallbacks only.
-  const IncrementalChecker::Stats checker = checker_stats();
-  const MpscRing* ring = bus_->ring();
-  const MpscRing::Stats rs =
-      ring != nullptr ? ring->stats() : MpscRing::Stats{};
-  options_.health->observe(
-      {.events = events_total_,
-       .events_over_budget = events_over_budget_,
-       .batches = batches_,
-       .unplanned_rebuilds = checker.full_rebuilds - checker.epoch_rebuilds,
-       .ring_published = rs.published,
-       .ring_evictions = rs.evictions,
-       .ring_full_stalls = rs.full_stalls});
-}
-
 std::size_t MonitorLoop::ingest_ring_events() {
   if (bus_->ring() == nullptr) return 0;
   return bus_->ingest_ring();
@@ -129,9 +102,6 @@ void MonitorLoop::prime() {
       options_.flight, 0, "prime", batch, net_->clock().now().millis()};
   ingest_ring_events();
   cursor_ = bus_->cursor();
-  for (const EventBus::ReaderId r : readers_) {
-    bus_->advance_reader(r, cursor_);
-  }
   bus_->compact(cursor_);
   if (!options_.incremental) return;
   const std::uint64_t epoch = net_->controller().compiled_epoch();
@@ -182,16 +152,12 @@ MonitorVerdict MonitorLoop::drain() {
   // steady_clock publish stamp to the verdict instant; sim is the event's
   // SimTime stamp to the network clock now. The two are never mixed.
   const SimTime sim_now = net_->clock().now();
-  const double budget_ms = options_.health != nullptr
-                               ? options_.health->options().detect_budget_ms
-                               : 0.0;
   for (const StreamEvent& ev : events) {
     const double wall_ms = millis_between(ev.wall, t1);
     wall_latency_ms_.record(0, wall_ms);
     sim_latency_ms_.record(0, static_cast<double>(sim_now - ev.time));
-    if (budget_ms > 0 && wall_ms > budget_ms) ++events_over_budget_;
+    if (wall_ms > telemetry::kDetectBudgetMs) ++events_over_budget_;
   }
-  events_total_ += events.size();
   drain_ms_.record(0, verdict.drain_ms);
   batch_events_.record(0, static_cast<double>(events.size()));
   events_counter_.add(static_cast<std::uint64_t>(events.size()));
@@ -210,13 +176,7 @@ MonitorVerdict MonitorLoop::drain() {
   last_verdict_failing_ = failing;
 
   ++batches_;
-  // Workers have joined: every shard's reader may pass the batch. Without
-  // this advance the readers pin compact() at the pre-batch cursor.
-  for (const EventBus::ReaderId r : readers_) {
-    bus_->advance_reader(r, cursor_);
-  }
   bus_->compact(cursor_);  // `events` dies here
-  if (options_.health != nullptr) observe_health();
   return verdict;
 }
 
@@ -343,10 +303,10 @@ telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
   counter("stream.bus_compactions", bus.compactions);
   counter("stream.bus_compacted_events", bus.compacted_events);
   gauge("stream.bus_backlog", static_cast<double>(bus_->retained()));
-  gauge("stream.bus_cursor_lag",
-        static_cast<double>(bus_->cursor() - cursor_));
-  if (const MpscRing* ring = bus_->ring()) {
-    const MpscRing::Stats rs = ring->stats();
+  const MpscRing* ring = bus_->ring();
+  const MpscRing::Stats rs =
+      ring != nullptr ? ring->stats() : MpscRing::Stats{};
+  if (ring != nullptr) {
     counter("stream.bus_ingested", bus.ingested);
     counter("stream.bus_resyncs_synthesized", bus.resyncs_synthesized);
     counter("stream.ring_published", rs.published);
@@ -382,8 +342,8 @@ telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
     counter("tcam.evictions." + std::string(policy), n);
   }
 
+  const IncrementalChecker::Stats s = checker_stats();
   if (checker_ != nullptr) {
-    const IncrementalChecker::Stats s = checker_->stats();
     counter("stream.initial_builds", s.initial_builds);
     counter("stream.events_applied", s.events_applied);
     counter("stream.incremental_updates", s.incremental_updates);
@@ -429,13 +389,40 @@ telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
     }
     gauge("stream.churn.other", other);
   } else {
-    const LogicalBddCache::Stats s = full_cache_->stats();
-    gauge("bdd.arena_nodes", static_cast<double>(s.nodes));
-    gauge("bdd.arena_rollbacks", static_cast<double>(s.rollbacks));
-    gauge("bdd.unique_load", s.unique_load);
-    gauge("bdd.cache_hit_rate", s.cache_hit_rate);
-    gauge("bdd.resident_switches", static_cast<double>(s.resident_switches));
+    const LogicalBddCache::Stats cache = full_cache_->stats();
+    gauge("bdd.arena_nodes", static_cast<double>(cache.nodes));
+    gauge("bdd.arena_rollbacks", static_cast<double>(cache.rollbacks));
+    gauge("bdd.unique_load", cache.unique_load);
+    gauge("bdd.cache_hit_rate", cache.cache_hit_rate);
+    gauge("bdd.resident_switches",
+          static_cast<double>(cache.resident_switches));
   }
+
+  if (const IncidentBuilder* incidents = options_.incidents) {
+    const IncidentBuilder::Totals& t = incidents->totals();
+    const bool open = incidents->incident_open();
+    counter("incident.opened", t.incidents + (open ? 1 : 0));
+    counter("incident.closed", t.incidents);
+    counter("incident.unattributed", t.unattributed_incidents);
+    counter("incident.window.dropped", t.window_dropped);
+    gauge("incident.open", open ? 1.0 : 0.0);
+    gauge("incident.precision", t.precision());
+    gauge("incident.recall", t.recall());
+    gauge("incident.detect_wall_ms", incidents->last_detect_wall_ms());
+  }
+
+  // The grades of counts read above, at the same instant. Epoch rebuilds
+  // follow planned policy pushes; the rebuild SLO grades the threshold,
+  // unsafe and overflow fallbacks only.
+  telemetry::append_health(
+      {.events = snap.counter("stream.events_drained"),
+       .events_over_budget = events_over_budget_,
+       .batches = batches_,
+       .unplanned_rebuilds = s.full_rebuilds - s.epoch_rebuilds,
+       .ring_published = rs.published,
+       .ring_evictions = rs.evictions,
+       .ring_full_stalls = rs.full_stalls},
+      snap);
 
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;

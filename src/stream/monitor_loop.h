@@ -15,19 +15,20 @@
 // Concurrent publish: when the bus has an MpscRing attached, prime() and
 // drain() first ingest_ring() — folding everything publisher threads
 // appended since the last drain into the serial log (and synthesizing
-// shadow-resync events for any overflow-evicted switches). The monitor
-// also registers one bus reader per checker shard; compact() reclaims
-// nothing any shard's reader has not passed, so sharded cursor lag can
-// never unmap an event a worker might still read.
+// shadow-resync events for any overflow-evicted switches). The monitor is
+// the bus's one reader: workers only read the spans drain() stages for
+// them before the join, so each drain compacts the bus to its cursor.
 //
 // Telemetry: when Options carries a MetricsRegistry the loop records
 // event-to-detection latency in *both* clocks — wall (publish steady_clock
 // stamp -> verdict wall time) and sim (event SimTime -> network clock at
 // the verdict) — plus drain/batch histograms. The lifetime counts the bus,
-// the ring, the checker, the arenas and the agents keep themselves are not
-// copied into the registry: snapshot_metrics() reads each owner once and
-// merges its "stream." / "bdd." / "faults." / "tcam." series into the
-// registry's snapshot, so a registry attached to a monitor is read through
+// the ring, the checker, the arenas, the agents and the incident builder
+// keep themselves are not copied into the registry: snapshot_metrics()
+// reads each owner once and merges its "stream." / "bdd." / "faults." /
+// "tcam." / "incident." series into the registry's snapshot, then grades
+// those counts into the "health." gauges (telemetry/health.h). A registry
+// attached to a monitor is therefore read through
 // MonitorLoop::snapshot_metrics(), not MetricsRegistry::snapshot().
 // A FlightRecorder is the span store: lane 0 (the driver) gets the prime,
 // drain, full_check, localize and remediate spans, the incident_open
@@ -47,7 +48,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/checker/logical_bdd_cache.h"
 #include "src/common/mutex.h"
@@ -60,7 +60,6 @@
 
 namespace scout::telemetry {
 class FlightRecorder;
-class HealthEngine;
 }  // namespace scout::telemetry
 
 namespace scout::stream {
@@ -100,10 +99,6 @@ class MonitorLoop {
     // When non-empty and a flight recorder is attached, a clean→failing
     // verdict transition dumps the recorder here (first-failure context).
     std::string flight_dump_path{};
-    // Health/SLO engine: fed lifetime-cumulative totals (events over the
-    // detection budget, unplanned rebuilds, ring pressure) after every
-    // drain, read straight from their owners.
-    telemetry::HealthEngine* health = nullptr;
   };
 
   // Cardinality cap on the per-switch churn gauges: the K busiest switches
@@ -150,15 +145,15 @@ class MonitorLoop {
   [[nodiscard]] IncrementalChecker::Stats checker_stats() const;
 
   // The registry's snapshot with the owners' series (bus, ring, checker,
-  // arenas, churn, gray faults, TCAM evictions) read at this instant and
-  // merged in name order; empty when no registry is attached. Call it
-  // between drains, like MetricsRegistry::snapshot().
+  // arenas, churn, gray faults, TCAM evictions, incidents) read at this
+  // instant, plus the health.* grades of those counts, merged in name
+  // order; empty when no registry is attached. Call it between drains,
+  // like MetricsRegistry::snapshot().
   [[nodiscard]] telemetry::MetricsSnapshot snapshot_metrics();
 
  private:
   std::size_t ingest_ring_events() SCOUT_REQUIRES(serial_);
   void register_metrics() SCOUT_REQUIRES(serial_);
-  void observe_health() SCOUT_REQUIRES(serial_);
   [[nodiscard]] LocalizationResult localize_impl(const FabricCheck& check)
       const SCOUT_REQUIRES(serial_);
   void observe_incident(const MonitorVerdict& verdict,
@@ -168,7 +163,7 @@ class MonitorLoop {
                      std::span<const StreamEvent> events, SimTime sim_now,
                      bool failing) SCOUT_REQUIRES(serial_);
 
-  // Driver-phase capability: the monitor's cursor/batch/health state is
+  // Driver-phase capability: the monitor's cursor/batch/latency state is
   // mutated only between executor runs, by the one thread driving the
   // loop. Workers touch the checker's shards, never these members. Debug
   // builds abort if a second thread enters (common/mutex.h).
@@ -192,19 +187,12 @@ class MonitorLoop {
   telemetry::Histogram sim_latency_ms_;
   telemetry::Histogram drain_ms_;
   telemetry::Histogram batch_events_;
-  // Health-engine inputs: lifetime event totals and the count of events
-  // whose event→verdict wall latency exceeded the detection budget.
-  std::uint64_t events_total_ SCOUT_GUARDED_BY(serial_) = 0;
+  // Events whose event→verdict wall latency exceeded the detection budget
+  // (telemetry::kDetectBudgetMs); the latency grade's numerator.
   std::uint64_t events_over_budget_ SCOUT_GUARDED_BY(serial_) = 0;
   // Previous verdict state, for clean→failing transition detection
   // (incident opens, flight-recorder dump).
   bool last_verdict_failing_ SCOUT_GUARDED_BY(serial_) = false;
-
-  // Registered bus readers — one per checker shard (one total in full
-  // mode). Their cursors pin EventBus::compact(): no event is reclaimed
-  // while any shard's reader still precedes it (the multi-cursor
-  // compaction boundary).
-  std::vector<EventBus::ReaderId> readers_ SCOUT_GUARDED_BY(serial_);
 
   // localize() cache: the controller risk model of compiled epoch
   // risk_model_epoch_, its failure marks from the latest call.

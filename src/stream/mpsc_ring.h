@@ -141,10 +141,10 @@ class MpscRing {
   // event was evicted since the last take.
   bool take_evictions(std::vector<SwitchId>& out);
 
-  // Change-log mark publishers stamp into ring events. The serial phase
-  // refreshes it before a concurrent phase begins (log writes are
-  // serial-phase by contract, so the value is stable while publishers
-  // run); see EventBus::refresh_ring_mark.
+  // Change-log mark publishers stamp into ring events. The bus restamps it
+  // from the serial phase, in EventBus::attach_ring() and on every serial
+  // publish (log writes are serial-phase by contract, so the value is
+  // stable while publishers run).
   void set_change_log_mark(std::size_t mark) noexcept {
     change_log_mark_.store(mark, std::memory_order_release);
   }

@@ -60,7 +60,7 @@ constexpr HelpEntry kHelpTable[] = {
     {"faults.", "Fault-engine activity metric."},
     {"tcam.", "TCAM hardware-model metric."},
     {"incident.", "Incident-provenance attribution metric."},
-    {"health.", "Health/SLO engine metric (status: 0=ok 1=warn 2=critical)."},
+    {"health.", "Health/SLO grade (status: 0=ok 1=warn 2=critical)."},
 };
 
 std::string_view help_for(std::string_view name) {

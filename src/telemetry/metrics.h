@@ -4,10 +4,11 @@
 //
 // One copy per metric: the registry holds what no other object counts.
 // Subsystems that keep their own lifetime counts (event bus, MPSC ring,
-// incremental checker, BDD arenas, agents) are not mirrored into it. A
-// registry attached to a stream::MonitorLoop is therefore read through
-// MonitorLoop::snapshot_metrics(), which merges those owners' series into
-// this registry's snapshot at the snapshot instant.
+// incremental checker, BDD arenas, agents, incident builder) are not
+// mirrored into it, and the health.* grades of those counts are not stored
+// at all. A registry attached to a stream::MonitorLoop is therefore read
+// through MonitorLoop::snapshot_metrics(), which merges the owners' series
+// and the grades into this registry's snapshot at the snapshot instant.
 //
 // Design:
 //  * Registration is locked, recording is not. Register-or-fetch takes the
@@ -145,9 +146,6 @@ class Gauge {
 
   void set(double value) noexcept {
     if (slot_ != nullptr) *slot_ = value;
-  }
-  void add(double delta) noexcept {
-    if (slot_ != nullptr) *slot_ += delta;
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {

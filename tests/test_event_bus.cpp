@@ -85,65 +85,6 @@ TEST(EventBus, StampsChangeLogMark) {
   EXPECT_EQ(between.size(), 2u);
 }
 
-TEST(EventBus, ReadersStartAtTheCursorAndAdvanceMonotonically) {
-  EventBus bus;
-  (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, 1));
-  (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, 2));
-  const EventBus::ReaderId r = bus.register_reader();
-  EXPECT_EQ(bus.reader_cursor(r), 2u);  // starts at the current cursor
-  (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, 3));
-  bus.advance_reader(r, 3);
-  EXPECT_EQ(bus.reader_cursor(r), 3u);
-  EXPECT_EQ(bus.compaction_floor(), 3u);
-}
-
-// Regression for the latent single-cursor assumption: compact() used to
-// trust the caller's cursor alone, so one shard's lagging consumer could
-// have its unread events reclaimed out from under it. With sharded
-// readers registered, the compaction boundary is the minimum reader
-// cursor, whatever the caller asks for.
-TEST(EventBus, CompactionNeverReclaimsPastALaggingShardReader) {
-  EventBus bus;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, i));
-  }
-  const EventBus::ReaderId fast = bus.register_reader();
-  const EventBus::ReaderId slow = bus.register_reader();
-  // Both readers registered at cursor 8; new events arrive and only one
-  // shard keeps up.
-  for (std::uint32_t i = 8; i < 12; ++i) {
-    (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, i));
-  }
-  bus.advance_reader(fast, 12);
-  bus.advance_reader(slow, 9);
-  EXPECT_EQ(bus.compaction_floor(), 9u);
-
-  // The driver asks for everything; the slow shard's unread events 9..11
-  // must survive.
-  bus.compact(12);
-  EXPECT_EQ(bus.base(), 9u);
-  const auto tail = bus.events_since(9);
-  ASSERT_EQ(tail.size(), 3u);
-  EXPECT_EQ(tail[0].seq, 9u);
-  EXPECT_EQ(tail[0].sw, SwitchId{9});
-
-  // Once the straggler catches up the same request reclaims the rest.
-  bus.advance_reader(slow, 12);
-  bus.compact(12);
-  EXPECT_EQ(bus.base(), 12u);
-  EXPECT_EQ(bus.retained(), 0u);
-}
-
-TEST(EventBus, ReaderCursorCannotRegressOrPassTheStream) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EventBus bus;
-  (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, 1));
-  const EventBus::ReaderId r = bus.register_reader();
-  bus.advance_reader(r, 1);
-  EXPECT_DEATH(bus.advance_reader(r, 0), "cursor moved backwards");
-  EXPECT_DEATH(bus.advance_reader(r, 5), "ahead of the stream");
-}
-
 TEST(EventBus, WallStampsAreMonotone) {
   EventBus bus;
   (void)bus.publish(rule_event(StreamEventType::kRuleInstalled, 1));

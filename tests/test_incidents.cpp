@@ -2,11 +2,12 @@
 // (open / extend / close, first-cause ordering, the A ⊆ T precision
 // invariant, window reset and overflow accounting) and the end-to-end
 // gates — single-fault-class monitoring legs across seeds and transports
-// attribute with precision 1.0, and attaching the whole observability
-// stack (incidents + flight recorder + health) never perturbs a verdict
-// digest.
+// attribute with precision 1.0, attaching the whole observability stack
+// (incidents + flight recorder) never perturbs a verdict digest, and the
+// monitor's incident.* series equal the builder's totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -160,7 +161,7 @@ TEST(IncidentBuilder, WindowOverflowDropsNewestAndCounts) {
   CauseLedger ledger;
   IncidentBuilder::Options opts;
   opts.max_window_events = 4;
-  IncidentBuilder builder{&ledger, nullptr, opts};
+  IncidentBuilder builder{&ledger, opts};
   const CauseId first = CauseId::make(CauseEngine::kGray, 1);
   std::vector<StreamEvent> events;
   events.push_back(cause_event(1, 1, first, 10));
@@ -254,8 +255,8 @@ TEST(IncidentPipeline, EvictOnlyAttributionExactAcrossSeedsAndTransports) {
 }
 
 TEST(IncidentPipeline, ObservabilityStackIsDigestNeutral) {
-  // The whole stack — incidents + flight recorder + health — attached vs
-  // nothing attached: bit-identical verdict digests, same seed.
+  // The whole stack — incidents + flight recorder — attached vs nothing
+  // attached: bit-identical verdict digests, same seed.
   runtime::SerialExecutor executor;
   for (const std::uint64_t seed : {5u, 23u}) {
     MonitoringOptions bare = leg_scenario(seed);
@@ -266,7 +267,6 @@ TEST(IncidentPipeline, ObservabilityStackIsDigestNeutral) {
     MonitoringOptions instrumented = bare;
     instrumented.collect_incidents = true;
     instrumented.collect_flight = true;
-    instrumented.collect_health = true;
     const MonitoringReport on =
         run_continuous_monitoring(instrumented, executor);
 
@@ -284,15 +284,32 @@ TEST(IncidentPipeline, GrayLegReportsIncidentJson) {
   options.gray_rate = 0.2;
   options.gray_drop_rate = 0.0;
   options.collect_incidents = true;
-  options.collect_health = true;
   const MonitoringReport report = run_continuous_monitoring(options, executor);
   ASSERT_FALSE(report.incident_json.empty());
   EXPECT_NE(report.incident_json.find("\"scout-incidents-v1\""),
             std::string::npos);
   EXPECT_NE(report.incident_json.find("\"totals\""), std::string::npos);
-  ASSERT_FALSE(report.health_json.empty());
-  EXPECT_EQ(report.health_json.front(), '{');
   EXPECT_DOUBLE_EQ(report.incident_totals.precision(), 1.0);
+
+  // The incident.* series are the builder's totals read at snapshot time,
+  // after finalize() closed the last incident. detect_wall_ms is
+  // wall-timed and is left out.
+  const IncidentBuilder::Totals& t = report.incident_totals;
+  const telemetry::MetricsSnapshot& snap = report.telemetry;
+  ASSERT_GT(t.incidents, 0u);
+  EXPECT_EQ(snap.counters_with_prefix("incident.").size(), 4u);
+  EXPECT_EQ(snap.counter("incident.opened"), t.incidents);
+  EXPECT_EQ(snap.counter("incident.closed"), t.incidents);
+  EXPECT_EQ(snap.counter("incident.unattributed"), t.unattributed_incidents);
+  EXPECT_EQ(snap.counter("incident.window.dropped"), t.window_dropped);
+  EXPECT_EQ(std::count_if(snap.gauges.begin(), snap.gauges.end(),
+                          [](const auto& g) {
+                            return g.name.rfind("incident.", 0) == 0;
+                          }),
+            4);
+  EXPECT_EQ(snap.gauge("incident.open"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.gauge("incident.precision"), t.precision());
+  EXPECT_DOUBLE_EQ(snap.gauge("incident.recall"), t.recall());
 }
 
 }  // namespace

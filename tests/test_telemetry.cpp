@@ -2,7 +2,7 @@
 // the monitor's series read from their owners at snapshot time,
 // worker-count invariance of the deterministic "stream." counters, the
 // monitor's spans on the flight ring and their bounded Chrome export, the
-// health engine's grades, and the export formats CI validates.
+// health grades, and the export formats CI validates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,7 +68,6 @@ TEST(Metrics, DefaultHandlesAreNoOps) {
   c.add(0, 5);
   c.add(7);
   g.set(1.0);
-  g.add(2.0);
   h.record(0, 3.0);
   h.record(4.0);
 }
@@ -193,9 +192,10 @@ TEST(Telemetry, ChurnGaugeCardinalityCappedWithConservation) {
 
 // The monitor's snapshot reads each owner's lifetime counts at the
 // snapshot instant instead of mirroring them into the registry, so every
-// owner series must equal its owner, and each name must appear once.
-// Driven over a 2-publisher ring small enough to evict, with gray faults
-// and the fifo eviction policy on every agent.
+// owner series must equal its owner, every health grade must be the grade
+// of those counts, and each name must appear once. Driven over a
+// 2-publisher ring small enough to evict, with gray faults and the fifo
+// eviction policy on every agent.
 TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
   GeneratorProfile profile = GeneratorProfile::scaled(8);
   profile.target_pairs = 8 * 30;
@@ -235,6 +235,10 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
   // Checked after each churn interval (its events published but not yet
   // drained or compacted) and again after the drain.
   stream::EventBus::Cursor monitor_cursor = bus.cursor();
+  const auto rate = [](std::uint64_t num, std::uint64_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+  };
   const auto expect_owner_reads = [&](const MetricsSnapshot& snap) {
     const stream::EventBus::Stats b = bus.stats();
     EXPECT_EQ(snap.counter("stream.bus_published"), b.published);
@@ -246,8 +250,9 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
               b.resyncs_synthesized);
     EXPECT_EQ(snap.gauge("stream.bus_backlog"),
               static_cast<double>(bus.retained()));
-    EXPECT_EQ(snap.gauge("stream.bus_cursor_lag"),
-              static_cast<double>(bus.cursor() - monitor_cursor));
+    // The monitor is the bus's one reader: it compacts to its cursor after
+    // every drain, so the bus retains exactly what it has yet to drain.
+    EXPECT_EQ(bus.retained(), bus.cursor() - monitor_cursor);
 
     const stream::MpscRing::Stats r = ring.stats();
     EXPECT_EQ(snap.counter("stream.ring_published"), r.published);
@@ -277,6 +282,19 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
     EXPECT_EQ(snap.counter("stream.diff_recomputes"), c.diff_recomputes);
     EXPECT_EQ(snap.counter("stream.verdicts_reused"), c.verdicts_reused);
 
+    // Health grades of the same counts.
+    EXPECT_DOUBLE_EQ(snap.gauge("health.ring.eviction_rate"),
+                     rate(r.evictions, r.published));
+    EXPECT_DOUBLE_EQ(snap.gauge("health.ring.stall_rate"),
+                     rate(r.full_stalls, r.published));
+    EXPECT_DOUBLE_EQ(snap.gauge("health.rebuild.rate"),
+                     rate(c.full_rebuilds - c.epoch_rebuilds,
+                          snap.counter("stream.batches")));
+    EXPECT_EQ(snap.gauge("health.status"),
+              std::max({snap.gauge("health.latency.status"),
+                        snap.gauge("health.rebuild.status"),
+                        snap.gauge("health.ring.status")}));
+
     std::uint64_t evictions = 0;
     std::uint64_t misrenders = 0;
     std::uint64_t drops = 0;
@@ -299,6 +317,10 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
     }
   };
   for (int interval = 0; interval < 12; ++interval) {
+    // A full shard counts a stall and an eviction alike; publishes into a
+    // closed ring count only the eviction, so the last interval sets the
+    // two counts (and their rates) apart.
+    if (interval == 11) ring.close();
     (void)driver.pump(24);
     expect_owner_reads(monitor.snapshot_metrics());
     monitor_cursor = monitor.drain().last_seq;
@@ -306,13 +328,19 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
   }
   // The run reached every owner path the series read.
   const MetricsSnapshot last = monitor.snapshot_metrics();
-  EXPECT_GT(last.counter("stream.ring_evictions"), 0u);
+  EXPECT_GT(last.counter("stream.ring_evictions"),
+            last.counter("stream.ring_full_stalls"));
+  EXPECT_GT(last.counter("stream.ring_full_stalls"), 0u);
   EXPECT_GT(last.counter("stream.overflow_resyncs"), 0u);
   EXPECT_GT(last.counter("tcam.evictions.fifo"), 0u);
   EXPECT_GT(last.counter("faults.gray.misrenders"), 0u);
   EXPECT_GT(last.counter("faults.gray.drops"), 0u);
   EXPECT_GT(last.gauge("bdd.arena_nodes"), 0.0);
   EXPECT_EQ(last.counter("stream.batches"), 12u);
+  EXPECT_GT(last.gauge("health.ring.eviction_rate") +
+                last.gauge("health.ring.stall_rate") +
+                last.gauge("health.rebuild.rate"),
+            0.0);
   // The registry holds none of the owners' series itself.
   EXPECT_EQ(registry.snapshot().counters_with_prefix("stream.ring").size(),
             0u);
@@ -437,72 +465,85 @@ TEST(Telemetry, FlightTraceBoundedWithShardSpansOnShardLanesAt4Workers) {
   EXPECT_EQ(tids, (std::set<std::size_t>{1, 2, 3, 4}));
 }
 
-// -- health/SLO engine -------------------------------------------------------
+// -- health/SLO grades --------------------------------------------------------
 
-using HealthStatus = telemetry::HealthEngine::Status;
+constexpr double kOk = 0.0;
+constexpr double kWarn = 1.0;
+constexpr double kCritical = 2.0;
+
+// One sample's grades, alone in a snapshot.
+MetricsSnapshot graded(const telemetry::HealthSample& s) {
+  MetricsSnapshot snap;
+  telemetry::append_health(s, snap);
+  return snap;
+}
+
+bool has_gauge(const MetricsSnapshot& snap, const std::string& name) {
+  return std::any_of(snap.gauges.begin(), snap.gauges.end(),
+                     [&](const auto& g) { return g.name == name; });
+}
 
 TEST(Health, GradesAtThresholdsAndOverallIsTheWorst) {
-  MetricsRegistry reg{1};
-  telemetry::HealthEngine health{telemetry::HealthEngine::Options{}, &reg};
   // Zero denominators rate 0 and grade ok, whatever the numerators say.
-  telemetry::HealthEngine::Sample s;
+  telemetry::HealthSample s;
   s.events_over_budget = 3;
   s.unplanned_rebuilds = 4;
   s.ring_evictions = 2;
   s.ring_full_stalls = 1;
-  health.observe(s);
-  EXPECT_EQ(health.latency_burn(), 0.0);
-  EXPECT_EQ(health.rebuild_rate(), 0.0);
-  EXPECT_EQ(health.ring_eviction_rate(), 0.0);
-  EXPECT_EQ(health.ring_stall_rate(), 0.0);
-  EXPECT_EQ(health.overall(), HealthStatus::kOk);
+  MetricsSnapshot snap = graded(s);
+  ASSERT_EQ(snap.gauges.size(), 8u);
+  for (const char* name :
+       {"health.status", "health.latency.burn", "health.latency.status",
+        "health.rebuild.rate", "health.rebuild.status",
+        "health.ring.eviction_rate", "health.ring.stall_rate",
+        "health.ring.status"}) {
+    EXPECT_TRUE(has_gauge(snap, name)) << name;
+  }
+  EXPECT_EQ(snap.gauge("health.latency.burn"), 0.0);
+  EXPECT_EQ(snap.gauge("health.rebuild.rate"), 0.0);
+  EXPECT_EQ(snap.gauge("health.ring.eviction_rate"), 0.0);
+  EXPECT_EQ(snap.gauge("health.ring.stall_rate"), 0.0);
+  EXPECT_EQ(snap.gauge("health.status"), kOk);
 
   // Thresholds are inclusive: 0.5 unplanned rebuilds per batch warns, 2
   // is critical.
   s = {};
   s.batches = 10;
   s.unplanned_rebuilds = 4;
-  health.observe(s);
-  EXPECT_EQ(health.rebuild_status(), HealthStatus::kOk);
+  EXPECT_EQ(graded(s).gauge("health.rebuild.status"), kOk);
   s.unplanned_rebuilds = 5;
-  health.observe(s);
-  EXPECT_EQ(health.rebuild_status(), HealthStatus::kWarn);
-  EXPECT_EQ(health.overall(), HealthStatus::kWarn);
+  snap = graded(s);
+  EXPECT_EQ(snap.gauge("health.rebuild.status"), kWarn);
+  EXPECT_EQ(snap.gauge("health.status"), kWarn);
   s.unplanned_rebuilds = 20;
-  health.observe(s);
-  EXPECT_EQ(health.rebuild_status(), HealthStatus::kCritical);
-  EXPECT_EQ(health.overall(), HealthStatus::kCritical);
+  snap = graded(s);
+  EXPECT_EQ(snap.gauge("health.rebuild.status"), kCritical);
+  EXPECT_EQ(snap.gauge("health.status"), kCritical);
 
   // Latency burn: 5% of events over budget warns, 25% is critical.
   s = {};
   s.events = 100;
   s.events_over_budget = 5;
-  health.observe(s);
-  EXPECT_EQ(health.latency_status(), HealthStatus::kWarn);
+  EXPECT_EQ(graded(s).gauge("health.latency.status"), kWarn);
   s.events_over_budget = 25;
-  health.observe(s);
-  EXPECT_EQ(health.latency_status(), HealthStatus::kCritical);
+  EXPECT_EQ(graded(s).gauge("health.latency.status"), kCritical);
 
   // The ring grades the worse of evictions and stalls, and overall is the
   // worst of the three objectives.
   s.events_over_budget = 0;
   s.ring_published = 10000;
   s.ring_evictions = 100;  // 1e-2: critical
-  health.observe(s);
-  EXPECT_EQ(health.latency_status(), HealthStatus::kOk);
-  EXPECT_EQ(health.ring_status(), HealthStatus::kCritical);
-  EXPECT_EQ(health.overall(), HealthStatus::kCritical);
+  snap = graded(s);
+  EXPECT_EQ(snap.gauge("health.latency.status"), kOk);
+  EXPECT_EQ(snap.gauge("health.ring.status"), kCritical);
+  EXPECT_EQ(snap.gauge("health.status"), kCritical);
   s.ring_evictions = 0;
   s.ring_full_stalls = 100;  // 1e-2: warn
   s.events_over_budget = 5;  // warn
-  health.observe(s);
-  EXPECT_EQ(health.ring_status(), HealthStatus::kWarn);
-  EXPECT_EQ(health.overall(), HealthStatus::kWarn);
-
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.gauge("health.status"), 1.0);
-  EXPECT_EQ(snap.gauge("health.ring.status"), 1.0);
-  EXPECT_EQ(snap.gauge("health.rebuild.status"), 0.0);
+  snap = graded(s);
+  EXPECT_EQ(snap.gauge("health.ring.status"), kWarn);
+  EXPECT_EQ(snap.gauge("health.status"), kWarn);
+  EXPECT_EQ(snap.gauge("health.rebuild.status"), kOk);
   EXPECT_DOUBLE_EQ(snap.gauge("health.latency.burn"), 0.05);
 }
 
@@ -516,7 +557,6 @@ TEST(Health, PlannedEpochRebuildsDoNotBurnTheRebuildBudget) {
   options.batch_ops = 64;
   options.seed = 3;
   options.mix.migrate = 0.1;  // each migration bumps the compiled epoch
-  options.collect_health = true;
   options.localize_final = false;
   runtime::SerialExecutor executor;
   const MonitoringReport report =
@@ -529,6 +569,8 @@ TEST(Health, PlannedEpochRebuildsDoNotBurnTheRebuildBudget) {
   const double unplanned =
       static_cast<double>(c.full_rebuilds - c.epoch_rebuilds) /
       static_cast<double>(report.batches);
+  // Every monitor snapshot carries the grades; no switch turns them on.
+  ASSERT_TRUE(has_gauge(report.telemetry, "health.rebuild.rate"));
   EXPECT_DOUBLE_EQ(report.telemetry.gauge("health.rebuild.rate"), unplanned);
   EXPECT_EQ(unplanned, 0.0);
   EXPECT_EQ(report.telemetry.gauge("health.rebuild.status"), 0.0);
