@@ -13,6 +13,11 @@ const std::vector<LogicalRule>& CompiledPolicy::rules_for(SwitchId sw) const {
   return it == per_switch.end() ? kEmpty : it->second;
 }
 
+std::uint64_t CompiledPolicy::rules_epoch(SwitchId sw) const {
+  const auto it = rules_epochs.find(sw);
+  return it == rules_epochs.end() ? 0 : it->second;
+}
+
 namespace {
 
 // Emit both directions of one filter entry for one pair on one switch.

@@ -7,8 +7,13 @@
 // of the entry's port range. Rule priorities are assigned in deterministic
 // emission order; a catch-all deny closes each switch's ruleset (whitelist
 // model, Figure 2 rule 7).
+//
+// A CompiledPolicy also carries one rule epoch per switch, which the
+// controller stamps at each recompile: a push moves only the epochs of the
+// switches whose compiled rules it changed.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +25,9 @@ namespace scout {
 struct CompiledPolicy {
   // L-rules per switch, priority-ascending, catch-all deny last.
   std::unordered_map<SwitchId, std::vector<LogicalRule>> per_switch;
+  // Per-switch rule epochs, read through rules_epoch(). Stamped by
+  // Controller::recompile() only; compile() leaves this empty.
+  std::unordered_map<SwitchId, std::uint64_t> rules_epochs;
 
   [[nodiscard]] std::size_t total_rules() const noexcept {
     std::size_t n = 0;
@@ -27,6 +35,11 @@ struct CompiledPolicy {
     return n;
   }
   [[nodiscard]] const std::vector<LogicalRule>& rules_for(SwitchId sw) const;
+  // The compiled epoch at which rules_for(sw) last changed (rule and
+  // provenance; losing every rule counts), or 0 if `sw` never had rules.
+  // Work derived from rules_for(sw) (the stream checker's resident L)
+  // keys by this, so a push costs only the switches it changed.
+  [[nodiscard]] std::uint64_t rules_epoch(SwitchId sw) const;
 };
 
 class PolicyCompiler {

@@ -27,8 +27,21 @@ void DeployStats::count(ApplyStatus s) noexcept {
 }
 
 void Controller::recompile() {
-  compiled_ = PolicyCompiler::compile(policy_);
+  CompiledPolicy next = PolicyCompiler::compile(policy_);
   ++compile_epoch_;
+  // A switch keeps its rule epoch while its rule vector compares equal
+  // (rule and provenance: a verdict's missing rules carry provenance).
+  // Every switch that had rules holds a stamp, so the old stamps plus the
+  // new compilation's switches cover every switch either side names.
+  const auto stamp = [&](SwitchId sw) {
+    if (next.rules_epochs.contains(sw)) return;
+    next.rules_epochs[sw] = compiled_.rules_for(sw) == next.rules_for(sw)
+                                ? compiled_.rules_epoch(sw)
+                                : compile_epoch_;
+  };
+  for (const auto& [sw, epoch] : compiled_.rules_epochs) stamp(sw);
+  for (const auto& [sw, rules] : next.per_switch) stamp(sw);
+  compiled_ = std::move(next);
   stream::StreamEvent ev;
   ev.type = stream::StreamEventType::kPolicyPushed;
   ev.time = clock_->now();

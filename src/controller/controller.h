@@ -78,9 +78,11 @@ class Controller {
     return compiled_;
   }
   // Monotonic compilation counter: bumped every time `compiled()` is
-  // regenerated. Consumers caching work derived from the compiled policy
-  // (e.g. the checker's per-switch logical BDDs) key it by this epoch so a
-  // recompile invalidates them.
+  // regenerated. Consumers caching work derived from the whole compiled
+  // policy (the monitor's risk model, LogicalBddCache) key it by this
+  // epoch so a recompile invalidates them; per-switch work keys by
+  // `compiled().rules_epoch(sw)` instead, which moves only with that
+  // switch's rules.
   [[nodiscard]] std::uint64_t compiled_epoch() const noexcept {
     return compile_epoch_;
   }
@@ -102,8 +104,12 @@ class Controller {
   // Re-run the compiler against the current policy without pushing
   // (used by collectors/checkers that need fresh L-rules). Bumps the
   // compiled epoch and publishes a policy-push event when a bus is
-  // attached, so resident logical BDDs (LogicalBddCache, the stream
-  // monitor) can never serve a stale compilation.
+  // attached. It is the only writer of the per-switch rule epochs: a
+  // switch whose rules compare equal (rule and provenance) keeps its
+  // stamp, every other switch of the old or new compilation (one whose
+  // rules all vanished included) gets the new epoch. So resident logical
+  // BDDs can never serve a stale compilation, and a recompile of an
+  // unchanged policy invalidates none of the stream monitor's.
   void recompile();
 
   // -- incremental operations (the §V-B use cases) ----------------------------

@@ -137,7 +137,9 @@ void StormSchedule::rolling_upgrade(std::uint64_t episode_seed,
   Controller& controller = net_->controller();
   // The upgraded controller instance recompiles the (unchanged) policy —
   // once or twice, as standby and active come up — bumping the compiled
-  // epoch mid-churn and forcing every resident logical BDD to rebuild.
+  // epoch mid-churn. No switch's rules change, so no rule epoch moves and
+  // every resident logical BDD stays; caches keyed by the whole-policy
+  // epoch (the monitor's risk model, LogicalBddCache) rebuild.
   const std::size_t recompiles = 1 + rng.below(2);
   for (std::size_t i = 0; i < recompiles; ++i) {
     controller.recompile();

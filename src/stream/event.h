@@ -12,8 +12,10 @@
 //  * control-plane transitions (agent crash/recover, channel down/up,
 //    TCAM overflow, full switch resync).
 //  * policy-layer actions (benign change records; compiled-policy pushes,
-//    which bump Controller::compiled_epoch() and invalidate resident
-//    logical BDDs).
+//    which bump Controller::compiled_epoch()). A push invalidates only
+//    the resident logical BDDs of the switches whose compiled rules it
+//    changed: the checker compares each switch's
+//    CompiledPolicy::rules_epoch, not the global epoch.
 //
 // Events are the *sole* input of stream::IncrementalChecker: it mirrors
 // each switch's TCAM from the rule events and never re-collects, so a
@@ -42,6 +44,7 @@ enum class StreamEventType : std::uint8_t {
   kRuleEvicted,     // exactly one copy bytewise-equal to `rule` evicted
   kRuleModified,    // entry at `tcam_index` rewritten in place: rule->rule_after
   kSwitchResynced,  // TCAM wiped; reinstalls follow as kRuleInstalled events
+                    // (the checker re-encodes T once after the batch)
   // -- control-plane transitions (informational to the checker) -------------
   kTcamOverflow,    // install rejected by hardware; TCAM unchanged
   kAgentCrashed,
@@ -50,6 +53,7 @@ enum class StreamEventType : std::uint8_t {
   kChannelUp,
   // -- policy layer ----------------------------------------------------------
   kPolicyPushed,    // compiled policy regenerated; `epoch` = new compiled_epoch
+                    // (informational: the checker reads rule epochs)
   kPolicyChanged,   // record-only change-log entry for `object` (benign churn)
   // -- backpressure degradation ----------------------------------------------
   // Synthesized by EventBus::ingest_ring when the MPSC ring evicted events

@@ -37,7 +37,7 @@ struct IncrementalChecker::SwitchState {
   BddManager::Checkpoint l_mark{};
   BddRef l_bdd = kBddFalse;
   BddRef t_bdd = kBddFalse;
-  std::uint64_t epoch = kNoEpoch;
+  std::uint64_t epoch = kNoEpoch;  // CompiledPolicy::rules_epoch of L
   std::size_t nodes_at_rebuild = 1;
 
   // Mirror of the agent's TCAM (same contents, same table order),
@@ -188,7 +188,7 @@ void IncrementalChecker::rebuild_t(SwitchState& st) {
 }
 
 void IncrementalChecker::rebuild_arena(Shard& shard, SwitchState& st,
-                                       std::uint64_t epoch) {
+                                       std::uint64_t rules_epoch) {
   const bool initial = st.epoch == kNoEpoch;
   if (initial) {
     // Prime-time bootstrap: the one TCAM collection the monitor performs.
@@ -205,7 +205,7 @@ void IncrementalChecker::rebuild_arena(Shard& shard, SwitchState& st,
   st.l_bdd = ruleset_to_bdd(st.mgr, strip);
   st.l_mark = st.mgr.checkpoint();
   rebuild_t(st);
-  st.epoch = epoch;
+  st.epoch = rules_epoch;
   st.verdict_valid = false;
   if (initial) {
     ++shard.stats.initial_builds;
@@ -381,14 +381,13 @@ void IncrementalChecker::apply_event(Shard& shard, SwitchState& st,
       break;
     }
     case StreamEventType::kSwitchResynced: {
+      // Never applied to a current T: process_shard re-encodes T once
+      // from the shadow after a batch that resyncs the switch.
+      assert(!bdd_current);
       st.shadow.clear();
       st.non_catchall_denies = 0;
       st.max_allow_priority = kNoAllow;
       st.min_deny_priority = kNoDeny;
-      if (bdd_current && !st.t_dirty) {
-        st.t_bdd = st.mgr.constant(false);
-        ++shard.stats.incremental_updates;
-      }
       st.verdict_valid = false;
       break;
     }
@@ -411,10 +410,16 @@ void IncrementalChecker::apply_event(Shard& shard, SwitchState& st,
 }
 
 void IncrementalChecker::refresh_verdict(Shard& shard, SwitchState& st,
-                                         std::uint64_t epoch) {
-  if (st.epoch != epoch) {
-    rebuild_arena(shard, st, epoch);  // re-encodes T from the shadow too
+                                         std::uint64_t rules_epoch,
+                                         bool resynced) {
+  if (st.epoch != rules_epoch) {
+    rebuild_arena(shard, st, rules_epoch);  // re-encodes T from the shadow
     st.resync_pending = false;
+  } else if (resynced) {
+    // The resync's own T update, not a fallback: dropping every older T
+    // version compacts the arena back to L plus T.
+    rebuild_t(st);
+    ++shard.stats.resync_encodes;
   } else if (st.resync_pending) {
     rebuild_t(st);
     st.resync_pending = false;
@@ -458,7 +463,6 @@ void IncrementalChecker::refresh_verdict(Shard& shard, SwitchState& st,
 }
 
 void IncrementalChecker::process_shard(std::size_t shard_index,
-                                       std::uint64_t epoch,
                                        std::uint64_t batch) {
   SCOUT_CHECK(shard_index < shards_.size(),
               "IncrementalChecker: shard " << shard_index << " of "
@@ -475,20 +479,27 @@ void IncrementalChecker::process_shard(std::size_t shard_index,
   const telemetry::FlightRecorder::Scope span{
       flight_, shard.index + 1, "shard", batch,
       net_->clock().now().millis()};
+  const CompiledPolicy& compiled = net_->controller().compiled();
   for (std::size_t i = shard_index; i < states_.size();
        i += shards_.size()) {
     SwitchState& st = *states_[i];
-    if (st.pending.empty() && st.epoch == epoch && st.verdict_valid) {
+    const std::uint64_t rules_epoch = compiled.rules_epoch(st.sw);
+    if (st.pending.empty() && st.epoch == rules_epoch && st.verdict_valid) {
       continue;
     }
-    // Apply the batch's deltas to the shadow (always) and to T (when the
-    // resident T is current); then settle L/T/verdict.
-    const bool bdd_current = st.epoch == epoch;
+    // Decide how T follows the batch before any event is applied: a stale
+    // L re-encodes the arena and a resync re-encodes T, so their events
+    // update only the shadow; otherwise each delta updates T by cubes.
+    const bool resynced = std::any_of(
+        st.pending.begin(), st.pending.end(), [](const StreamEvent* ev) {
+          return ev->type == StreamEventType::kSwitchResynced;
+        });
+    const bool bdd_current = st.epoch == rules_epoch && !resynced;
     for (const StreamEvent* ev : st.pending) {
       apply_event(shard, st, *ev, bdd_current);
     }
     st.pending.clear();
-    refresh_verdict(shard, st, epoch);
+    refresh_verdict(shard, st, rules_epoch, resynced);
   }
 }
 
@@ -546,6 +557,7 @@ IncrementalChecker::Stats IncrementalChecker::stats() const {
     total.incremental_updates += s.incremental_updates;
     total.full_rebuilds += s.full_rebuilds;
     total.epoch_rebuilds += s.epoch_rebuilds;
+    total.resync_encodes += s.resync_encodes;
     total.threshold_trips += s.threshold_trips;
     total.unsafe_rebuilds += s.unsafe_rebuilds;
     total.overflow_resyncs += s.overflow_resyncs;

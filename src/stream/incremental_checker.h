@@ -10,7 +10,12 @@
 //   install allow r   ->  T := T ∨ cube(r)
 //   remove  allow r   ->  T := (T ∧ ¬cube(r)) ∨ ⋃ cube(overlapping allows)
 //   modify  r -> r'   ->  the removal update for r, then T := T ∨ cube(r')
-//   resync            ->  T := false (reinstalls arrive as install events)
+//   resync            ->  the batch's events for the switch update only the
+//                         shadow; then T is re-encoded once from it
+//                         (rollback to the watermark + ruleset_to_bdd), so
+//                         the reinstalls cost no cube updates and the
+//                         arena shrinks back to L plus T. Counted in
+//                         resync_encodes, not as a full rebuild.
 //
 // These updates are *exact* — not approximate — whenever the switch's
 // ruleset is in the compiler's shape: every deny rule is the catch-all
@@ -23,10 +28,17 @@
 // outside it falls back to a full T re-encode — counted separately, and
 // zero in every compiler-generated workload.
 //
+// How T follows a batch is decided per switch before any of its events
+// is applied: a stale L (epoch trigger below) or a resync in the batch
+// turns T's cube updates off for that batch.
+//
 // Full rebuilds (rollback to the watermark + ruleset_to_bdd over the
-// shadow) happen on exactly three triggers, each counted:
-//   * epoch    — Controller::compiled_epoch() moved: L itself is stale, the
-//                whole arena is re-encoded;
+// shadow) happen on exactly three triggers, each counted (plus the
+// ring-overflow shadow resync, counted as overflow):
+//   * epoch    — the switch's CompiledPolicy::rules_epoch moved: its own
+//                compiled rules changed, so L itself is stale and the
+//                whole arena is re-encoded. A push that leaves a switch's
+//                rules equal leaves its L, T and verdict alone;
 //   * threshold— churned T versions leave dead nodes above the watermark
 //                (the arena has no GC); past a divergence threshold the
 //                arena is compacted by rollback + re-encode;
@@ -77,9 +89,11 @@ class IncrementalChecker {
   struct Stats {
     std::size_t initial_builds = 0;     // prime-time L+T encodes
     std::size_t events_applied = 0;
-    std::size_t incremental_updates = 0;  // cube-level T updates
-    std::size_t full_rebuilds = 0;      // post-prime T re-encodes, total
-    std::size_t epoch_rebuilds = 0;     //   caused by compiled-epoch bumps
+    // Cube-level T updates; a resync's reinstalls are not among them.
+    std::size_t incremental_updates = 0;
+    std::size_t resync_encodes = 0;     // one T encode per resynced switch
+    std::size_t full_rebuilds = 0;      // triggered re-encodes, total
+    std::size_t epoch_rebuilds = 0;     //   caused by rule-epoch moves
     std::size_t threshold_trips = 0;    //   caused by arena divergence
     std::size_t unsafe_rebuilds = 0;    //   caused by out-of-shape deltas
     std::size_t overflow_resyncs = 0;   //   caused by ring-eviction resyncs
@@ -102,11 +116,11 @@ class IncrementalChecker {
   void stage(std::span<const StreamEvent> events);
 
   // Apply the staged events for every switch owned by `shard` and refresh
-  // those switches' verdicts against compiled epoch `epoch`. Distinct
-  // shards may run concurrently; the same shard must not. `batch` only
-  // labels the flight entries.
-  void process_shard(std::size_t shard, std::uint64_t epoch,
-                     std::uint64_t batch);
+  // those switches' verdicts against the controller's current compiled
+  // policy (read, never written, so shards may read it concurrently).
+  // Distinct shards may run concurrently; the same shard must not.
+  // `batch` only labels the flight entries.
+  void process_shard(std::size_t shard, std::uint64_t batch);
 
   // Fabric verdict composed from the per-switch cached verdicts in agent
   // order — the same merge order as ScoutSystem::check_all, so the result
@@ -137,9 +151,11 @@ class IncrementalChecker {
                    bool bdd_current);
   void note_rebuild(const Shard& shard, const SwitchState& st,
                     const char* marker);
-  void rebuild_arena(Shard& shard, SwitchState& st, std::uint64_t epoch);
+  void rebuild_arena(Shard& shard, SwitchState& st,
+                     std::uint64_t rules_epoch);
   void rebuild_t(SwitchState& st);
-  void refresh_verdict(Shard& shard, SwitchState& st, std::uint64_t epoch);
+  void refresh_verdict(Shard& shard, SwitchState& st,
+                       std::uint64_t rules_epoch, bool resynced);
   void recompute_shape(SwitchState& st);
 
   SimNetwork* net_;

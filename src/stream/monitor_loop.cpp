@@ -104,11 +104,10 @@ void MonitorLoop::prime() {
   cursor_ = bus_->cursor();
   bus_->compact(cursor_);
   if (!options_.incremental) return;
-  const std::uint64_t epoch = net_->controller().compiled_epoch();
   checker_->stage({});
   executor_->run(checker_->shard_count(),
                  [&](std::size_t shard, std::size_t) {
-                   checker_->process_shard(shard, epoch, batch);
+                   checker_->process_shard(shard, batch);
                  });
   SCOUT_INFO("stream", "primed: " << checker_->switch_count()
                                   << " switches over "
@@ -132,11 +131,10 @@ MonitorVerdict MonitorLoop::drain() {
 
   const auto t0 = WallClock::now();
   if (options_.incremental) {
-    const std::uint64_t epoch = net_->controller().compiled_epoch();
     checker_->stage(events);
     executor_->run(checker_->shard_count(),
                    [&](std::size_t shard, std::size_t) {
-                     checker_->process_shard(shard, epoch, batch);
+                     checker_->process_shard(shard, batch);
                    });
     verdict.check = checker_->compose();
   } else {
@@ -347,6 +345,7 @@ telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
     counter("stream.initial_builds", s.initial_builds);
     counter("stream.events_applied", s.events_applied);
     counter("stream.incremental_updates", s.incremental_updates);
+    counter("stream.resync_encodes", s.resync_encodes);
     counter("stream.full_rebuilds", s.full_rebuilds);
     counter("stream.epoch_rebuilds", s.epoch_rebuilds);
     counter("stream.threshold_trips", s.threshold_trips);

@@ -73,6 +73,52 @@ TEST_F(ControllerFixture, DeployNewFilterKeepsCompiledInSync) {
   EXPECT_EQ(found, 4u);
 }
 
+// A switch's rule epoch is the compiled epoch at which its own rules last
+// changed: a recompile moves compiled_epoch() every time, but only the
+// switches whose rules it changed, or emptied, get the new stamp.
+TEST_F(ControllerFixture, RulesEpochMovesOnlyWithTheSwitchsRules) {
+  (void)net.deploy();
+  Controller& ctl = net.controller();
+  const auto epoch_of = [&](SwitchId sw) {
+    return ctl.compiled().rules_epoch(sw);
+  };
+  const std::uint64_t deployed = ctl.compiled_epoch();
+  ASSERT_EQ(ctl.compiled().per_switch.size(), 3u);
+  for (const auto& [sw, rules] : ctl.compiled().per_switch) {
+    EXPECT_EQ(epoch_of(sw), deployed) << sw;
+  }
+  EXPECT_EQ(epoch_of(SwitchId{99}), 0u);  // never had rules
+
+  ctl.recompile();  // the unchanged policy
+  EXPECT_EQ(ctl.compiled_epoch(), deployed + 1);
+  for (const SwitchId sw : {three.s1, three.s2, three.s3}) {
+    EXPECT_EQ(epoch_of(sw), deployed) << sw;
+  }
+
+  // App-DB deploys on S2 and S3 only.
+  (void)ctl.deploy_new_filter("port443", {FilterEntry::allow_tcp(443)},
+                              three.app_db);
+  const std::uint64_t pushed = ctl.compiled_epoch();
+  EXPECT_EQ(epoch_of(three.s1), deployed);
+  EXPECT_EQ(epoch_of(three.s2), pushed);
+  EXPECT_EQ(epoch_of(three.s3), pushed);
+
+  // EP1 leaves S1: Web is hosted nowhere else there, so S1's rules all
+  // vanish. S2 already hosts App and so keeps the Web-App rules it had.
+  const EndpointId ep1 = ctl.policy().endpoints().front().id;
+  ASSERT_EQ(ctl.policy().endpoint(ep1).attached_switch, three.s1);
+  (void)ctl.migrate_endpoint(ep1, three.s2);
+  const std::uint64_t moved = ctl.compiled_epoch();
+  EXPECT_TRUE(ctl.compiled().rules_for(three.s1).empty());
+  EXPECT_EQ(epoch_of(three.s1), moved);
+  EXPECT_EQ(epoch_of(three.s2), pushed);
+  EXPECT_EQ(epoch_of(three.s3), pushed);
+
+  // Still empty: the stamp stays.
+  ctl.recompile();
+  EXPECT_EQ(epoch_of(three.s1), moved);
+}
+
 TEST_F(ControllerFixture, DisconnectedSwitchLosesInstructions) {
   net.controller().disconnect_switch(three.s2);
   const DeployStats stats = net.deploy();

@@ -1,13 +1,22 @@
 // Differential correctness of the continuous-verification stream: the
 // incremental monitor's verdicts must be identical to a fresh
 // ScoutSystem::check_all after every batch — across randomized event
-// streams, mid-stream compiled-epoch bumps, divergence-threshold trips,
+// streams, mid-stream policy pushes, resyncs, divergence-threshold trips,
 // out-of-shape (unsafe) deltas, and 1/2/4 workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/scout/experiment.h"
 #include "src/scout/scout_system.h"
 #include "src/stream/monitor_loop.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/workload/policy_generator.h"
 #include "src/workload/three_tier.h"
 
 namespace scout {
@@ -152,9 +161,9 @@ TEST(StreamMonitor, SerialTransportAndRingShareTheDefaultSchedule) {
 TEST(StreamMonitor, OverflowEvictionForcesShadowResyncAndStaysExact) {
   runtime::SerialExecutor executor;
   MonitoringOptions base = small_scenario(9);
-  // No recompiles: an epoch bump in the same batch would repair the gap
-  // through the arena-rebuild branch and mask the overflow accounting
-  // this test pins.
+  // No recompiles: a push that changes the switch's rules in the same
+  // batch would repair the gap through the arena-rebuild branch and mask
+  // the overflow accounting this test pins.
   base.mix.migrate = 0.0;
   base.publishers = 0;
   const MonitoringReport anchor = run_continuous_monitoring(base, executor);
@@ -192,8 +201,8 @@ TEST(StreamMonitor, PipelinedFreeRunConvergesToFreshVerdict) {
 TEST(StreamMonitor, DivergenceThresholdTripsKeepVerdictsExact) {
   runtime::SerialExecutor executor;
   MonitoringOptions options = small_scenario(7);
-  // No recompiles: an epoch bump rebuilds every arena in its batch, which
-  // takes precedence over the compaction this test pins.
+  // No recompiles: a push rebuilds the arenas whose rules it changed,
+  // which takes precedence over the compaction this test pins.
   options.mix.migrate = 0.0;
   options.verify_batches = true;
   // Compact aggressively: every touched switch trips almost immediately.
@@ -442,6 +451,231 @@ TEST(StreamMonitor, UnsafeDeltaFallsBackToRebuildExactly) {
   ASSERT_GT(net.agent(three.s2).evict_rules(1, net.clock().now()), 0u);
   const stream::MonitorVerdict after = monitor.drain();
   EXPECT_TRUE(fabric_check_identical(after.check, system.check_all(net)));
+}
+
+// A deployed 8-leaf generated fabric (240 EPG pairs) with a bus attached.
+struct DeployedFabric {
+  DeployedFabric() : net(make()) {
+    net.deploy();
+    net.clock().advance(3'600'000);
+    net.attach_event_bus(&bus);
+  }
+  static SimNetwork make() {
+    GeneratorProfile profile = GeneratorProfile::scaled(8);
+    profile.target_pairs = 8 * 30;
+    Rng rng{5};
+    GeneratedNetwork generated = generate_network(profile, rng);
+    return SimNetwork{std::move(generated.fabric),
+                      std::move(generated.policy)};
+  }
+
+  SimNetwork net;
+  stream::EventBus bus;
+};
+
+std::size_t epoch_markers(const telemetry::FlightRecorder& flight,
+                          std::size_t lane) {
+  const auto lanes = flight.snapshot();
+  std::size_t n = 0;
+  for (const auto& e : lanes.at(lane).entries) {
+    if (e.kind == telemetry::FlightRecorder::EntryKind::kInstant &&
+        std::string_view{e.name} == "full_rebuild.epoch") {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// A push re-encodes L and T only on the switches whose compiled rules it
+// changed (CompiledPolicy::rules_epoch), and a resync re-encodes its
+// switch's T once. Every batch holds one push, TCAM deltas on switches the
+// push changed and on switches it left alone, and a resync of one it left
+// alone, so each switch's T update must be decided before any of its
+// events is applied.
+TEST(StreamMonitor, PushesRebuildOnlyTheSwitchesTheyChange) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(workers);
+    DeployedFabric fabric;
+    SimNetwork& net = fabric.net;
+    Controller& ctl = net.controller();
+    const auto executor = runtime::make_executor(workers);
+    telemetry::FlightRecorder flight{
+        {.lanes = workers + 1, .capacity_per_lane = 1024}};
+    stream::MonitorLoop::Options options;
+    options.flight = &flight;
+    stream::MonitorLoop monitor{net, fabric.bus, *executor, options};
+    monitor.prime();
+    const ScoutSystem system;
+    const auto agents = net.agents();
+    Rng rng{17};
+
+    // Filter pushes go to the contract whose pairs span the fewest
+    // switches (two at least), so they change some switches and leave the
+    // rest alone.
+    const NetworkPolicy& policy = ctl.policy();
+    ContractId contract;
+    std::size_t fewest = agents.size() + 1;
+    for (const Contract& c : policy.contracts()) {
+      std::set<SwitchId> span;
+      for (const ContractLink& l : policy.links()) {
+        if (l.contract != c.id) continue;
+        for (const SwitchId sw :
+             policy.switches_for_pair(EpgPair{l.consumer, l.provider})) {
+          span.insert(sw);
+        }
+      }
+      if (span.size() >= 2 && span.size() < fewest) {
+        fewest = span.size();
+        contract = c.id;
+      }
+    }
+    const EndpointId ep = policy.endpoints().front().id;
+    const SwitchId home = policy.endpoint(ep).attached_switch;
+    FilterId filter;
+    std::vector<std::size_t> markers_by_shard(workers, 0);
+    std::size_t changed_total = 0;
+    for (std::size_t b = 0; b < 10; ++b) {
+      SCOPED_TRACE(b);
+      const stream::IncrementalChecker::Stats stats = monitor.checker_stats();
+      const CompiledPolicy before = ctl.compiled();
+      const std::uint64_t epoch = ctl.compiled_epoch();
+      std::set<SwitchId> resynced;
+      switch (b % 5) {
+        case 0:
+          filter = ctl.deploy_new_filter(
+              "push" + std::to_string(b),
+              {FilterEntry::allow_tcp(static_cast<std::uint16_t>(8000 + b))},
+              contract);
+          break;
+        case 1:
+          ctl.undeploy_filter(contract, filter);
+          break;
+        case 2:
+        case 3: {
+          // Away to the next agent, then back home.
+          const SwitchId from = policy.endpoint(ep).attached_switch;
+          SwitchId to = home;
+          if (b % 5 == 2) {
+            const auto it = std::find_if(
+                agents.begin(), agents.end(),
+                [&](const auto& a) { return a->id() == home; });
+            to = (std::next(it) == agents.end() ? agents.front()
+                                                : *std::next(it))
+                     ->id();
+          }
+          (void)ctl.migrate_endpoint(ep, to);
+          resynced.insert(from);
+          resynced.insert(to);
+          break;
+        }
+        default:
+          ctl.recompile();  // the unchanged policy
+          break;
+      }
+      ASSERT_GT(ctl.compiled_epoch(), epoch);
+
+      std::vector<std::size_t> changed;
+      std::vector<std::size_t> unchanged;
+      for (std::size_t i = 0; i < agents.size(); ++i) {
+        const SwitchId sw = agents[i]->id();
+        (before.rules_for(sw) == ctl.compiled().rules_for(sw) ? unchanged
+                                                              : changed)
+            .push_back(i);
+      }
+      ASSERT_FALSE(unchanged.empty());
+      if (b % 5 == 4) {
+        EXPECT_TRUE(changed.empty());
+      }
+      changed_total += changed.size();
+
+      // A resync of a switch the push left alone, with an eviction after
+      // its reinstalls; 1-3 evictions or bit flips on other switches the
+      // push left alone, and one more on a switch it changed.
+      const SimTime now = net.clock().now();
+      SwitchAgent& target = *agents[unchanged[b % unchanged.size()]];
+      (void)ctl.resync_switch(target.id());
+      resynced.insert(target.id());
+      (void)target.evict_rules(1, now);
+      for (std::size_t j = 0; j <= b % 3; ++j) {
+        SwitchAgent& agent =
+            *agents[unchanged[(b + 1 + j) % unchanged.size()]];
+        if ((b + j) % 2 == 0) {
+          (void)agent.evict_rules(1 + j, now);
+        } else {
+          (void)agent.corrupt_tcam_bit(rng, now, 0.5);
+        }
+      }
+      if (!changed.empty()) (void)agents[changed.front()]->evict_rules(1, now);
+
+      const stream::MonitorVerdict verdict = monitor.drain();
+      EXPECT_TRUE(
+          fabric_check_identical(verdict.check, system.check_all(net)));
+      const stream::IncrementalChecker::Stats after = monitor.checker_stats();
+      EXPECT_EQ(after.epoch_rebuilds - stats.epoch_rebuilds, changed.size());
+      std::size_t resynced_unchanged = 0;
+      for (const std::size_t i : unchanged) {
+        if (resynced.contains(agents[i]->id())) ++resynced_unchanged;
+      }
+      EXPECT_EQ(after.resync_encodes - stats.resync_encodes,
+                resynced_unchanged);
+      // Lane s+1 holds shard s's markers; switch i is on shard i % workers.
+      for (const std::size_t i : changed) ++markers_by_shard[i % workers];
+      for (std::size_t s = 0; s < workers; ++s) {
+        EXPECT_EQ(epoch_markers(flight, s + 1), markers_by_shard[s])
+            << "shard " << s;
+      }
+    }
+    // Pushes changed some switches, and never all of them every time.
+    EXPECT_GT(changed_total, 0u);
+    EXPECT_LT(changed_total, 10 * agents.size());
+  }
+}
+
+// A resync re-encodes the switch's T from the shadow after rolling its
+// arena back to L, which drops every older T version: resyncing every
+// switch compacts the arenas back to their post-prime size.
+TEST(StreamMonitor, ResyncReencodeShrinksTheArena) {
+  DeployedFabric fabric;
+  SimNetwork& net = fabric.net;
+  stream::IncrementalChecker checker{net, 1, {}, nullptr};
+  checker.stage({});
+  checker.process_shard(0, 0);
+  const std::size_t primed = checker.arena_totals().nodes;
+  stream::EventBus::Cursor cursor = fabric.bus.cursor();
+  std::uint64_t batch = 1;
+  const auto drain = [&] {
+    const auto events = fabric.bus.events_since(cursor);
+    cursor += events.size();
+    checker.stage(events);
+    checker.process_shard(0, batch++);
+    return checker.compose();
+  };
+
+  Rng rng{23};
+  const ScoutSystem system;
+  for (std::size_t b = 0; b < 8; ++b) {
+    for (const auto& agent : net.agents()) {
+      if ((b + agent->id().value()) % 2 == 0) {
+        (void)agent->evict_rules(2, net.clock().now());
+      } else {
+        (void)agent->corrupt_tcam_bit(rng, net.clock().now(), 0.5);
+      }
+    }
+    (void)drain();
+  }
+  ASSERT_GT(checker.arena_totals().nodes, primed);
+
+  const stream::IncrementalChecker::Stats churned = checker.stats();
+  for (const auto& agent : net.agents()) {
+    (void)net.controller().resync_switch(agent->id());
+  }
+  const FabricCheck check = drain();
+  // One T encode per switch; the reinstalls are no cube updates.
+  EXPECT_EQ(checker.stats().resync_encodes, net.agents().size());
+  EXPECT_EQ(checker.stats().incremental_updates,
+            churned.incremental_updates);
+  EXPECT_LE(checker.arena_totals().nodes, primed);
+  EXPECT_TRUE(fabric_check_identical(check, system.check_all(net)));
 }
 
 }  // namespace

@@ -274,6 +274,7 @@ TEST(Telemetry, OwnerReadSeriesEqualTheirOwners) {
     EXPECT_EQ(snap.counter("stream.events_applied"), c.events_applied);
     EXPECT_EQ(snap.counter("stream.incremental_updates"),
               c.incremental_updates);
+    EXPECT_EQ(snap.counter("stream.resync_encodes"), c.resync_encodes);
     EXPECT_EQ(snap.counter("stream.full_rebuilds"), c.full_rebuilds);
     EXPECT_EQ(snap.counter("stream.epoch_rebuilds"), c.epoch_rebuilds);
     EXPECT_EQ(snap.counter("stream.threshold_trips"), c.threshold_trips);
